@@ -337,6 +337,9 @@ func printRunSummary(res place.Result) {
 		line("gather", p.Gather)
 		line("field", p.Field)
 		line("build", p.Build)
+		if p.Factor > 0 {
+			line("factor", p.Factor)
+		}
 		line("solve-x", p.SolveX)
 		line("solve-y", p.SolveY)
 	}

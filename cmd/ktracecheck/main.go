@@ -72,6 +72,7 @@ type traceRec struct {
 	HPWL       *float64 `json:"hpwl"`
 	StepNS     *int64   `json:"t_step_ns"`
 	PairNS     *int64   `json:"t_solve_pair_ns"`
+	FactorNS   *int64   `json:"t_factor_ns"`
 }
 
 // knownPhaseKeys is the trace-key allowlist: the t_<phase>_ns keys an
@@ -84,6 +85,7 @@ var knownPhaseKeys = map[string]bool{
 	"t_gather_ns":     true,
 	"t_field_ns":      true,
 	"t_build_ns":      true,
+	"t_factor_ns":     true,
 	"t_solve_x_ns":    true,
 	"t_solve_y_ns":    true,
 	"t_solve_pair_ns": true,
@@ -187,6 +189,10 @@ func checkTrace(path string) error {
 		// time must fit inside the whole transformation.
 		if r.PairNS != nil && (*r.PairNS < 0 || *r.PairNS > *r.StepNS) {
 			return fmt.Errorf("line %d: t_solve_pair_ns %d outside [0, t_step_ns=%d]", line, *r.PairNS, *r.StepNS)
+		}
+		// Likewise t_factor_ns: the refactor runs inside the step.
+		if r.FactorNS != nil && (*r.FactorNS < 0 || *r.FactorNS > *r.StepNS) {
+			return fmt.Errorf("line %d: t_factor_ns %d outside [0, t_step_ns=%d]", line, *r.FactorNS, *r.StepNS)
 		}
 	}
 	if err := sc.Err(); err != nil {

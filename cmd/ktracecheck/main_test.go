@@ -74,6 +74,15 @@ func TestCheckTrace(t *testing.T) {
 			lines:   []string{`{"type":"meta","design":"d","cells":10,"config_hash":"abc"}`, `{"iter":0,"hpwl":12.5,"t_step_ns":10,"t_solve_pair_ns":20}`},
 			wantErr: "t_solve_pair_ns 20 outside",
 		},
+		{
+			name:    "factor time exceeds step time",
+			lines:   []string{metaLine, `{"iter":0,"hpwl":12.5,"t_weight_ns":1,"t_gather_ns":2,"t_step_ns":10,"t_factor_ns":11}`},
+			wantErr: "t_factor_ns 11 outside",
+		},
+		{
+			name:  "factor time within step time",
+			lines: []string{metaLine, `{"iter":0,"hpwl":12.5,"t_weight_ns":1,"t_gather_ns":2,"t_step_ns":10,"t_factor_ns":4}`},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,6 +21,9 @@ type StepPhases struct {
 	Gather int64 `json:"gather_ns"`
 	Field  int64 `json:"field_ns"`
 	Build  int64 `json:"build_ns"`
+	// Factor is the IC0 refactor time (zero for Jacobi runs and in
+	// documents written before the phase existed).
+	Factor int64 `json:"factor_ns"`
 	SolveX int64 `json:"solve_x_ns"`
 	SolveY int64 `json:"solve_y_ns"`
 	// SolvePair is the concurrent x/y solve pair's wall time; the per-axis
@@ -35,6 +38,7 @@ func stepPhases(p place.PhaseTotals) StepPhases {
 		Gather:    p.Gather.Nanoseconds(),
 		Field:     p.Field.Nanoseconds(),
 		Build:     p.Build.Nanoseconds(),
+		Factor:    p.Factor.Nanoseconds(),
 		SolveX:    p.SolveX.Nanoseconds(),
 		SolveY:    p.SolveY.Nanoseconds(),
 		SolvePair: p.SolvePair.Nanoseconds(),
@@ -194,8 +198,8 @@ func WriteStepBench(w io.Writer, b StepBench) error {
 func PrintStepBench(w io.Writer, b StepBench) {
 	fmt.Fprintf(w, "E10: hot-path engine, cold vs hot (gomaxprocs %d, max %d iters, seed %d)\n",
 		b.GOMAXPROCS, b.MaxIter, b.Seed)
-	fmt.Fprintf(w, "%8s %-12s | %8s %6s %7s | %9s %9s %9s %9s | %9s\n",
-		"#cells", "mode", "wall[s]", "iters", "cg-it", "gather", "field", "build", "solve", "step")
+	fmt.Fprintf(w, "%8s %-12s | %8s %6s %7s | %9s %9s %9s %9s %9s | %9s\n",
+		"#cells", "mode", "wall[s]", "iters", "cg-it", "gather", "field", "build", "factor", "solve", "step")
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
 	for _, r := range b.Rows {
 		modes := []struct {
@@ -210,9 +214,9 @@ func PrintStepBench(w io.Writer, b StepBench) {
 		}
 		for _, m := range modes {
 			p := m.run.Phases
-			fmt.Fprintf(w, "%8d %-12s | %8.2f %6d %7d | %8.1fm %8.1fm %8.1fm %8.1fm | %8.1fm\n",
+			fmt.Fprintf(w, "%8d %-12s | %8.2f %6d %7d | %8.1fm %8.1fm %8.1fm %8.1fm %8.1fm | %8.1fm\n",
 				r.Cells, m.name, m.run.WallSec, m.run.Iterations, m.run.CGIters,
-				ms(p.Gather), ms(p.Field), ms(p.Build), ms(p.SolvePair), ms(p.Step))
+				ms(p.Gather), ms(p.Field), ms(p.Build), ms(p.Factor), ms(p.SolvePair), ms(p.Step))
 		}
 		// Per-iteration speedups, so differing stop iterations don't skew the
 		// phase comparison; wall speedup is the end-to-end ratio.
@@ -229,11 +233,12 @@ func PrintStepBench(w io.Writer, b StepBench) {
 			coldSolve = r.Cold.Phases.SolveX + r.Cold.Phases.SolveY
 			hotSolve = r.Hot.Phases.SolveX + r.Hot.Phases.SolveY
 		}
-		fmt.Fprintf(w, "%8s %-12s | %8.2fx %6s %7s | %8.2fx %8.2fx %8.2fx %8.2fx | %8.2fx\n",
+		fmt.Fprintf(w, "%8s %-12s | %8.2fx %6s %7s | %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx | %8.2fx\n",
 			"", "speed", r.Cold.WallSec/r.Hot.WallSec, "", "",
 			speed(r.Cold.Phases.Gather, r.Hot.Phases.Gather, r.Cold.Iterations, r.Hot.Iterations),
 			speed(r.Cold.Phases.Field, r.Hot.Phases.Field, r.Cold.Iterations, r.Hot.Iterations),
 			speed(r.Cold.Phases.Build, r.Hot.Phases.Build, r.Cold.Iterations, r.Hot.Iterations),
+			speed(r.Cold.Phases.Factor, r.Hot.Phases.Factor, r.Cold.Iterations, r.Hot.Iterations),
 			speed(coldSolve, hotSolve, r.Cold.Iterations, r.Hot.Iterations),
 			speed(r.Cold.Phases.Step, r.Hot.Phases.Step, r.Cold.Iterations, r.Hot.Iterations))
 	}

@@ -184,6 +184,7 @@ type IterStats struct {
 	TGather    time.Duration `json:"t_gather_ns"` // density accumulation (fine + coarse grids)
 	TField     time.Duration `json:"t_field_ns"`  // Poisson force-field evaluation
 	TBuild     time.Duration `json:"t_build_ns"`  // quadratic system assembly
+	TFactor    time.Duration `json:"t_factor_ns"` // IC0 preconditioner refactor (zero under Jacobi)
 	TSolveX    time.Duration `json:"t_solve_x_ns"`
 	TSolveY    time.Duration `json:"t_solve_y_ns"`
 	TSolvePair time.Duration `json:"t_solve_pair_ns"` // wall time of the concurrent x/y solve pair
@@ -196,6 +197,7 @@ type PhaseTotals struct {
 	Gather    time.Duration
 	Field     time.Duration
 	Build     time.Duration
+	Factor    time.Duration
 	SolveX    time.Duration
 	SolveY    time.Duration
 	SolvePair time.Duration // wall time of the concurrent solve pairs
@@ -207,6 +209,7 @@ func (p *PhaseTotals) add(s IterStats) {
 	p.Gather += s.TGather
 	p.Field += s.TField
 	p.Build += s.TBuild
+	p.Factor += s.TFactor
 	p.SolveX += s.TSolveX
 	p.SolveY += s.TSolveY
 	p.SolvePair += s.TSolvePair
@@ -256,7 +259,7 @@ func stopReasonFor(err error) StopReason {
 // holds them to it.
 func PhaseKeys() []string {
 	return []string{
-		"weight", "gather", "field", "build",
+		"weight", "gather", "field", "build", "factor",
 		"solve-x", "solve-y", "solve-pair", "step",
 	}
 }
@@ -624,6 +627,7 @@ func (p *Placer) Step() (IterStats, error) {
 		TGather:     tGather,
 		TField:      tField,
 		TBuild:      tBuild,
+		TFactor:     res.Factor,
 		TSolveX:     res.X.Elapsed,
 		TSolveY:     res.Y.Elapsed,
 		TSolvePair:  res.PairWall,
@@ -636,6 +640,7 @@ func (p *Placer) Step() (IterStats, error) {
 		sp.Record("place/gather", stats.TGather)
 		sp.Record("place/field", stats.TField)
 		sp.Record("place/build", stats.TBuild)
+		sp.Record("place/factor", stats.TFactor)
 		sp.Record("place/solve-x", stats.TSolveX)
 		sp.Record("place/solve-y", stats.TSolveY)
 		sp.Record("place/solve-pair", stats.TSolvePair)

@@ -3,6 +3,7 @@ package place
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/density"
 	"repro/internal/netlist"
@@ -143,5 +144,37 @@ func TestSolvePairPhaseAccounting(t *testing.T) {
 	if res.Phases.SolvePair <= 0 || res.Phases.SolvePair > res.Phases.Step {
 		t.Fatalf("PhaseTotals.SolvePair %v out of range (step total %v)",
 			res.Phases.SolvePair, res.Phases.Step)
+	}
+}
+
+// TestFactorPhaseAccounting: under IC0 every transformation reassembles the
+// system, so every step refactors and records a positive factor time that,
+// with the solve pair it precedes, fits inside the step. Under Jacobi
+// nothing is factored and the phase stays zero.
+func TestFactorPhaseAccounting(t *testing.T) {
+	for _, pc := range []sparse.Preconditioner{sparse.IC0, sparse.Jacobi} {
+		res, err := Global(warmNetlist(57), Config{MaxIter: 12, CG: sparse.CGOptions{Precond: pc}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Trace) == 0 {
+			t.Fatal("no trace rows")
+		}
+		var sum time.Duration
+		for _, s := range res.Trace {
+			if pc == sparse.Jacobi && s.TFactor != 0 {
+				t.Fatalf("jacobi iter %d: TFactor %v, want 0", s.Iter, s.TFactor)
+			}
+			if pc == sparse.IC0 && s.TFactor <= 0 {
+				t.Fatalf("ic0 iter %d: TFactor %v not positive", s.Iter, s.TFactor)
+			}
+			if s.TFactor+s.TSolvePair > s.TStep {
+				t.Fatalf("%v iter %d: factor %v + pair %v exceed step %v", pc, s.Iter, s.TFactor, s.TSolvePair, s.TStep)
+			}
+			sum += s.TFactor
+		}
+		if res.Phases.Factor != sum {
+			t.Fatalf("%v: PhaseTotals.Factor %v, trace sum %v", pc, res.Phases.Factor, sum)
+		}
 	}
 }

@@ -158,3 +158,35 @@ func TestAutoResolvesBySystemSize(t *testing.T) {
 		t.Fatal("Auto built an IC0 factor below the threshold")
 	}
 }
+
+// TestSolveResultFactorTime: the factor phase is charged to the solve that
+// refactors, and only to it — a repeated solve of the same assembly reuses
+// the factor, and Jacobi never factors.
+func TestSolveResultFactorTime(t *testing.T) {
+	nl := netgen.Generate(netgen.Config{Name: "ft", Cells: 300, Nets: 380, Rows: 8, Seed: 63})
+	a := NewAssembler(nl, Options{Linearize: true})
+	sys := a.Assemble()
+	ic0 := sparse.CGOptions{Tol: 1e-8, Precond: sparse.IC0}
+	for _, tc := range []struct {
+		what   string
+		opt    sparse.CGOptions
+		refill bool
+		want   bool // positive factor time expected
+	}{
+		{"first ic0 solve", ic0, false, true},
+		{"repeated ic0 solve", ic0, false, false},
+		{"jacobi solve after refill", sparse.CGOptions{Tol: 1e-8, Precond: sparse.Jacobi}, true, false},
+		{"ic0 solve after refill", ic0, true, true},
+	} {
+		if tc.refill {
+			sys = a.Assemble()
+		}
+		res, err := sys.Solve(nil, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.Factor > 0) != tc.want {
+			t.Fatalf("%s: Factor %v, want positive=%v", tc.what, res.Factor, tc.want)
+		}
+	}
+}

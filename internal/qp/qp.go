@@ -95,11 +95,12 @@ type System struct {
 	bx, by []float64
 
 	// chol caches the IC0 preconditioner across the solves of one
-	// assembly: the pattern is built once per System (it is fixed by C's
-	// sparsity), the numeric factor is recomputed lazily after each
-	// assembleInto, and both axis solves share it read-only. cholBroken
-	// remembers a pivot breakdown for the current values, so the
-	// Jacobi fallback is decided once per assembly, not per solve.
+	// assembly: the pattern (and the factor's n-float work row) is built
+	// once per System, since it is fixed by C's sparsity; the numeric
+	// factor is recomputed lazily after each assembleInto, timed as
+	// SolveResult.Factor; and both axis solves share it read-only.
+	// cholBroken remembers a pivot breakdown for the current values, so
+	// the Jacobi fallback is decided once per assembly, not per solve.
 	chol       *sparse.IC0Factor
 	cholDirty  bool
 	cholBroken bool
@@ -296,6 +297,10 @@ func (s *System) Matrix() *sparse.CSR { return s.C }
 // SolveResult reports both axis solves.
 type SolveResult struct {
 	X, Y sparse.CGResult
+	// Factor is the wall time spent preparing the IC0 preconditioner
+	// before the solves. It is zero when nothing was refactored: under
+	// Jacobi, or on a repeated solve of one assembly.
+	Factor time.Duration
 	// PairWall is the wall time of the concurrent x/y solve pair —
 	// smaller than X.Elapsed + Y.Elapsed whenever the axes overlap, and
 	// the number that actually bounds the step time.
@@ -345,7 +350,7 @@ func (s *System) Solve(forces []geom.Point, opt sparse.CGOptions) (SolveResult, 
 // solveBoth runs the two independent axis solves concurrently; C and the
 // prepared preconditioner factor are shared read-only.
 func (s *System) solveBoth(x, bx, y, by []float64, opt sparse.CGOptions, out *SolveResult) (errX, errY error) {
-	s.prepPrecond(&opt)
+	out.Factor = s.prepPrecond(&opt)
 	start := obsv.StartTimer()
 	par.Pair(
 		func() { out.X, errX = sparse.SolveCG(s.C, x, bx, opt) },
@@ -361,26 +366,30 @@ func (s *System) solveBoth(x, bx, y, by []float64, opt sparse.CGOptions, out *So
 // downgrades this assembly's solves to Jacobi. Factoring once here keeps
 // the concurrent axis solves from each factoring, and keeps repeated
 // solves of one assembly (timing-driven re-solves) at zero extra cost.
-func (s *System) prepPrecond(opt *sparse.CGOptions) {
+// It returns the time spent building and refactoring the factor.
+func (s *System) prepPrecond(opt *sparse.CGOptions) time.Duration {
 	eff := opt.Precond.Resolve(s.N())
 	opt.Precond = eff
 	opt.Factor = nil
 	if eff != sparse.IC0 {
-		return
+		return 0
 	}
-	if s.chol == nil {
-		s.chol = sparse.NewIC0Pattern(s.C)
-		s.cholDirty = true
-	}
-	if s.cholDirty {
+	var factor time.Duration
+	if s.chol == nil || s.cholDirty {
+		sw := obsv.StartTimer()
+		if s.chol == nil {
+			s.chol = sparse.NewIC0Pattern(s.C)
+		}
 		s.cholBroken = !s.chol.Refactor(s.C)
 		s.cholDirty = false
+		factor = sw.Elapsed()
 	}
 	if s.cholBroken {
 		opt.Precond = sparse.Jacobi
-		return
+		return factor
 	}
 	opt.Factor = s.chol
+	return factor
 }
 
 // SolveDelta solves C·δ = f for the displacement response to the force

@@ -23,6 +23,7 @@ type Event struct {
 	GatherNS int64   `json:"gather_ns"`
 	FieldNS  int64   `json:"field_ns"`
 	BuildNS  int64   `json:"build_ns"`
+	FactorNS int64   `json:"factor_ns"`
 	SolveNS  int64   `json:"solve_ns"`
 	StepNS   int64   `json:"step_ns"`
 	// Final marks the stream's last event; State carries the job's
@@ -52,6 +53,7 @@ func eventFrom(st place.IterStats) Event {
 		GatherNS: st.TGather.Nanoseconds(),
 		FieldNS:  st.TField.Nanoseconds(),
 		BuildNS:  st.TBuild.Nanoseconds(),
+		FactorNS: st.TFactor.Nanoseconds(),
 		SolveNS:  solve.Nanoseconds(),
 		StepNS:   st.TStep.Nanoseconds(),
 	}

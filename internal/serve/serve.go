@@ -460,6 +460,7 @@ func (s *Server) runJob(j *Job, deadline time.Duration) {
 		{"phase/gather", res.Phases.Gather},
 		{"phase/field", res.Phases.Field},
 		{"phase/build", res.Phases.Build},
+		{"phase/factor", res.Phases.Factor},
 		{"phase/solve-x", res.Phases.SolveX},
 		{"phase/solve-y", res.Phases.SolveY},
 	} {

@@ -67,6 +67,9 @@ func sameCSR(a, b *CSR) bool {
 //     fresh factorization of the refilled matrix (the hot-path contract
 //     qp's preconditioner cache relies on), on an SPD symmetrization of
 //     the fuzzed triplets.
+//  6. Refactor matches the merge-kernel oracle bit for bit, and reports
+//     breakdown on exactly the same inputs: on the SPD symmetrization and
+//     on the raw fuzzed matrices, which are mostly indefinite.
 func FuzzSymbolicRefill(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 8, 1, 0, 8, 2, 2, 16})           // small symmetric-ish
 	f.Add([]byte{0, 0, 0, 4, 0, 0, 252})                   // duplicate that cancels to zero
@@ -122,6 +125,15 @@ func FuzzSymbolicRefill(f *testing.F) {
 			t.Fatalf("Build stores %d entries, symbolic pattern only %d",
 				m1.NNZ(), snapshot.NNZ())
 		}
+		// (6) on the raw matrices, before (4) leaves m2 unspecified.
+		for _, raw := range []struct {
+			name string
+			m    *CSR
+		}{{"build", m1}, {"symbolic", snapshot}, {"refill", m2}} {
+			if agree, ok := matchesMergeOracle(raw.m); !agree {
+				t.Fatalf("raw %s matrix: Refactor diverges from the merge oracle (ok=%v)", raw.name, ok)
+			}
+		}
 
 		// (4) A shape change must be detected.
 		b.Reset()
@@ -169,6 +181,10 @@ func FuzzSymbolicRefill(f *testing.F) {
 			fresh := NewIC0(sm)
 			if ok != (fresh != nil) {
 				t.Fatalf("round %d: Refactor ok=%v but NewIC0 nil=%v", round, ok, fresh == nil)
+			}
+			oracle := NewIC0Pattern(sm)
+			if refactorMerge(oracle, sm) != ok || ok && !sameFactor(pat, oracle) {
+				t.Fatalf("round %d: Refactor diverges from the merge oracle (ok=%v)", round, ok)
 			}
 			if !ok {
 				continue

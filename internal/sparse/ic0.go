@@ -13,7 +13,8 @@ import "math"
 // Symbolic split matrix assembly: NewIC0Pattern records the strict-lower
 // pattern and the value-source mapping once, and Refactor re-derives the
 // numeric factor from the matrix's current values with no allocation and no
-// position lookups — the dot products walk the two sorted rows directly.
+// position lookups. Refactor scatters the row being factored into a dense
+// work row, so each dot product walks only the earlier row it pairs with.
 // Placement matrices are refilled (same pattern, new spring weights) on
 // every transformation, so the steady state is one Refactor per assembly.
 type IC0Factor struct {
@@ -28,6 +29,10 @@ type IC0Factor struct {
 	// row has no stored diagonal, which Refactor reports as a breakdown).
 	src  []int32
 	dsrc []int32
+
+	// work holds the finished entries of the row Refactor is factoring,
+	// indexed by column. It is zero everywhere else, between calls too.
+	work []float64
 }
 
 // NewIC0Pattern records the strict-lower-triangle pattern of m and the
@@ -41,6 +46,7 @@ func NewIC0Pattern(m *CSR) *IC0Factor {
 		rowPtr: make([]int32, n+1),
 		diag:   make([]float64, n),
 		dsrc:   make([]int32, n),
+		work:   make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		f.dsrc[i] = -1
@@ -76,6 +82,19 @@ func NewIC0(m *CSR) *IC0Factor {
 // false on breakdown (a non-positive or NaN pivot) — the factor's values
 // are then unspecified and the caller must fall back to Jacobi until the
 // next refill. Refactor allocates nothing.
+//
+// Entry L[i][j] is A[i][j] − Σ_t L[i][t]·L[j][t] over the columns t < j the
+// two rows share, divided by L[j][j]. Row i's finished entries sit in the
+// dense work row, so the sum walks row j alone: a column row i lacks reads
+// a zero slot. The result is bit-identical to intersecting the two sorted
+// rows, because
+//   - shared columns are subtracted in the same ascending order;
+//   - an unshared column subtracts 0·x = ±0, where x is an entry of a row
+//     that passed its pivot check and is therefore finite (an infinite or
+//     NaN entry makes its own row's pivot -Inf or NaN);
+//   - s − (±0) = s unless s is −0, and s never is: a matrix value is a sum
+//     that starts from +0 (Build and Symbolic.Refill), and under
+//     round-to-nearest a difference is −0 only when its minuend is.
 func (f *IC0Factor) Refactor(m *CSR) bool {
 	// Load the raw strict-lower values; row i's raw values are consumed
 	// exactly when row i is eliminated, and rows j < i already hold L.
@@ -83,44 +102,34 @@ func (f *IC0Factor) Refactor(m *CSR) bool {
 	for k, s := range f.src {
 		f.vals[k] = mv[s]
 	}
-	rp, cols, vals, diag := f.rowPtr, f.cols, f.vals, f.diag
+	rp, cols, vals, diag, w := f.rowPtr, f.cols, f.vals, f.diag, f.work
 	for i := 0; i < f.n; i++ {
 		lo, hi := rp[i], rp[i+1]
-		// Off-diagonal entries of row i, in ascending column order.
+		// Off-diagonal entries of row i, in ascending column order. Row j's
+		// columns are all below j, so w holds exactly row i's entries
+		// before k when row j reads it.
 		for k := lo; k < hi; k++ {
 			j := cols[k]
 			s := vals[k]
-			// s -= Σ_{t<j} L[i][t]·L[j][t] over shared sparsity: both rows
-			// are sorted, so the intersection is a two-pointer merge — row
-			// i's entries before k all have column < j, and row j's entries
-			// are strictly below j by construction.
-			a, b := lo, rp[j]
-			bHi := rp[j+1]
-			for a < k && b < bHi {
-				switch ca, cb := cols[a], cols[b]; {
-				case ca == cb:
-					s -= vals[a] * vals[b]
-					a++
-					b++
-				case ca < cb:
-					a++
-				default:
-					b++
-				}
+			jc, jv := cols[rp[j]:rp[j+1]], vals[rp[j]:rp[j+1]]
+			jv = jv[:len(jc)] // same length: drops jv's bounds check
+			for b, c := range jc {
+				s -= w[c] * jv[b]
 			}
-			d := diag[j]
-			if d == 0 {
-				return false
-			}
-			vals[k] = s / d
+			// diag[j] > 0: row j passed its pivot check.
+			v := s / diag[j]
+			vals[k] = v
+			w[j] = v
 		}
-		// Diagonal pivot.
+		// Diagonal pivot; clearing row i's slots here leaves the work row
+		// zero on the breakdown return as well.
 		var d float64
 		if di := f.dsrc[i]; di >= 0 {
 			d = mv[di]
 		}
 		for k := lo; k < hi; k++ {
 			d -= vals[k] * vals[k]
+			w[cols[k]] = 0
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return false

@@ -25,6 +25,81 @@ func sameFactor(a, b *IC0Factor) bool {
 	return true
 }
 
+// refactorMerge is the pre-work-row IC0 kernel, kept as the oracle
+// Refactor must match bit for bit: each entry's dot product is a branchy
+// two-pointer merge of row i against row j. It fills f's vals and diag
+// exactly like Refactor and reports breakdown the same way.
+func refactorMerge(f *IC0Factor, m *CSR) bool {
+	mv := m.vals
+	for k, s := range f.src {
+		f.vals[k] = mv[s]
+	}
+	rp, cols, vals, diag := f.rowPtr, f.cols, f.vals, f.diag
+	for i := 0; i < f.n; i++ {
+		lo, hi := rp[i], rp[i+1]
+		for k := lo; k < hi; k++ {
+			j := cols[k]
+			s := vals[k]
+			// s -= Σ_{t<j} L[i][t]·L[j][t] over shared sparsity: row i's
+			// entries before k all have column < j, and row j's entries
+			// are strictly below j by construction.
+			a, b := lo, rp[j]
+			bHi := rp[j+1]
+			for a < k && b < bHi {
+				switch ca, cb := cols[a], cols[b]; {
+				case ca == cb:
+					s -= vals[a] * vals[b]
+					a++
+					b++
+				case ca < cb:
+					a++
+				default:
+					b++
+				}
+			}
+			d := diag[j]
+			if d == 0 {
+				return false
+			}
+			vals[k] = s / d
+		}
+		var d float64
+		if di := f.dsrc[i]; di >= 0 {
+			d = mv[di]
+		}
+		for k := lo; k < hi; k++ {
+			d -= vals[k] * vals[k]
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return false
+		}
+		diag[i] = math.Sqrt(d)
+	}
+	return true
+}
+
+// matchesMergeOracle factors m with both kernels on fresh patterns and
+// reports whether they agree: the same breakdown verdict, and on success
+// bit-identical vals and diag.
+func matchesMergeOracle(m *CSR) (agree, ok bool) {
+	f, g := NewIC0Pattern(m), NewIC0Pattern(m)
+	ok = f.Refactor(m)
+	if ok != refactorMerge(g, m) {
+		return false, ok
+	}
+	return !ok || sameFactor(f, g), ok
+}
+
+// workRowClean reports whether Refactor left the dense work row all zero.
+func workRowClean(f *IC0Factor) bool {
+	for _, v := range f.work {
+		if math.Float64bits(v) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 type spdSpring struct {
 	i, j int
 	w    float64
@@ -104,6 +179,136 @@ func TestIC0RefactorMatchesFreshFactor(t *testing.T) {
 			t.Fatalf("trial %d: refactor-vs-fresh-factor not bit-identical after refill", trial)
 		}
 	}
+}
+
+func TestIC0RefactorMatchesMergeOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 40; trial++ {
+		n := 10 + rng.Intn(200)
+		m, _, _, _ := buildSPDSymbolic(rng, n)
+		if agree, ok := matchesMergeOracle(m); !agree || !ok {
+			t.Fatalf("trial %d (n=%d, SPD): agree=%v ok=%v", trial, n, agree, ok)
+		}
+	}
+
+	// Random symmetric matrices with signed weights and a diagonal shift
+	// around zero: some factor, some break down at various rows. Both
+	// kernels must reach the same verdict, and the same bits on success.
+	var factored, broken int
+	for trial := 0; trial < 200; trial++ {
+		n := 5 + rng.Intn(60)
+		b := NewBuilder(n)
+		for k := 0; k < 3*n; k++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			if i != j {
+				b.AddSym(i, j, rng.NormFloat64())
+			}
+		}
+		shift := 6 * rng.Float64()
+		for i := 0; i < n; i++ {
+			b.Add(i, i, shift+rng.NormFloat64())
+		}
+		agree, ok := matchesMergeOracle(b.Build())
+		if !agree {
+			t.Fatalf("trial %d (n=%d, indefinite): work-row kernel diverges from the merge oracle (ok=%v)", trial, n, ok)
+		}
+		if ok {
+			factored++
+		} else {
+			broken++
+		}
+	}
+	if factored == 0 || broken == 0 {
+		t.Fatalf("indefinite sweep exercised only one verdict: %d factored, %d broke down", factored, broken)
+	}
+}
+
+// TestIC0WorkRowHygiene: breakdowns return from the middle of the matrix
+// with a row scattered into the work row. The next Refactor on the same
+// factor must still start from a zero work row, so every success after a
+// failure is bit-equal to a fresh NewIC0.
+func TestIC0WorkRowHygiene(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	n := 150
+	ss := randomSPDSprings(rng, n)
+	b := NewBuilder(n)
+	fillSPD(b, n, ss, 1)
+	m, sym := b.BuildSymbolic()
+	f := NewIC0Pattern(m)
+
+	// mid is the row in the middle third with the most lower entries,
+	// and spring hits its lowest column, so both failures leave several
+	// work-row slots set when they return.
+	mid := n / 3
+	for i := n / 3; i < 2*n/3; i++ {
+		if f.rowPtr[i+1]-f.rowPtr[i] > f.rowPtr[mid+1]-f.rowPtr[mid] {
+			mid = i
+		}
+	}
+	spring := -1
+	for k, sp := range ss {
+		if max(sp.i, sp.j) == mid && (spring < 0 || min(sp.i, sp.j) < min(ss[spring].i, ss[spring].j)) {
+			spring = k
+		}
+	}
+	if f.rowPtr[mid+1]-f.rowPtr[mid] < 3 || spring < 0 {
+		t.Fatalf("row %d has too few lower entries for the test", mid)
+	}
+
+	// refill replays the spring sequence with spring's weight replaced by
+	// w and an extra anchor on row mid.
+	refill := func(w, anchor float64) {
+		b.Reset()
+		for k, sp := range ss {
+			wk := sp.w
+			if k == spring {
+				wk = w
+			}
+			b.AddSym(sp.i, sp.j, -wk)
+			b.Add(sp.i, sp.i, wk)
+			b.Add(sp.j, sp.j, wk)
+		}
+		for i := 0; i < n; i++ {
+			a := 1.0
+			if i == mid {
+				a += anchor
+			}
+			b.Add(i, i, a)
+		}
+		if !sym.Refill(m, b) {
+			t.Fatal("refill rejected")
+		}
+	}
+	step := func(what string, w, anchor float64, wantOK bool) {
+		refill(w, anchor)
+		if ok := f.Refactor(m); ok != wantOK {
+			t.Fatalf("%s: Refactor ok=%v, want %v", what, ok, wantOK)
+		}
+		if !workRowClean(f) {
+			t.Fatalf("%s: Refactor left the work row dirty", what)
+		}
+		if !wantOK {
+			return
+		}
+		fresh := NewIC0(m)
+		if fresh == nil {
+			t.Fatalf("%s: fresh factor broke down", what)
+		}
+		if !sameFactor(f, fresh) {
+			t.Fatalf("%s: factor is not bit-equal to a fresh NewIC0", what)
+		}
+	}
+	w0 := ss[spring].w
+	step("initial", w0, 0, true)
+	// An infinite spring makes L[mid][lo] = −Inf/+Inf = NaN: the row
+	// carries a non-finite entry through the rest of its columns and
+	// breaks at its pivot.
+	step("non-finite mid-row entry", math.Inf(1), 0, false)
+	step("recovered from the non-finite row", 2*w0, 0, true)
+	// A large negative anchor keeps every entry finite and breaks at
+	// row mid's pivot.
+	step("negative pivot", w0, -1e6, false)
+	step("recovered from the negative pivot", 3*w0, 0, true)
 }
 
 func TestIC0RefactorAllocFree(t *testing.T) {
