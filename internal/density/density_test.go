@@ -125,14 +125,14 @@ func TestFieldAttractsTowardVoid(t *testing.T) {
 func TestFFTMatchesDirect(t *testing.T) {
 	_, g := gridded(t, 400, 32, 32, 3)
 	fd := ComputeField(g, Direct)
-	ff := ComputeField(g, FFT)
+	ff := ComputeField(g, RealFFT)
 	scale := fd.MaxMagnitude()
 	if scale == 0 {
 		t.Fatal("zero field")
 	}
 	for i := range fd.FX {
 		if math.Abs(fd.FX[i]-ff.FX[i]) > 1e-6*scale || math.Abs(fd.FY[i]-ff.FY[i]) > 1e-6*scale {
-			t.Fatalf("bin %d: direct (%g,%g) vs fft (%g,%g)",
+			t.Fatalf("bin %d: direct (%g,%g) vs rfft (%g,%g)",
 				i, fd.FX[i], fd.FY[i], ff.FX[i], ff.FY[i])
 		}
 	}
@@ -155,6 +155,16 @@ func TestAutoSelectsByGridSize(t *testing.T) {
 	for i := range fb.FX {
 		if fb.FX[i] != ffft.FX[i] {
 			t.Fatal("Auto on big grid did not match RealFFT")
+		}
+	}
+	// The threshold is on the bin count, not per axis: 64×32 = 2048 bins
+	// takes the FFT path.
+	_, gWide := gridded(t, 100, 64, 32, 4)
+	fw := ComputeField(gWide, Auto)
+	fwr := ComputeField(gWide, RealFFT)
+	for i := range fw.FX {
+		if fw.FX[i] != fwr.FX[i] {
+			t.Fatal("Auto on a 64x32 grid did not match RealFFT")
 		}
 	}
 }

@@ -8,48 +8,49 @@ import (
 )
 
 // TestRealFFTFieldMatchesComplex pins the real-input field solver against
-// the complex one on the same density map: both evaluate the identical
-// padded convolution, so they must agree to roundoff.
+// the Direct superposition oracle on a 64×64 map of a generated design:
+// the padded cyclic convolution equals the direct sum, so they must agree
+// to roundoff.
 func TestRealFFTFieldMatchesComplex(t *testing.T) {
 	nl := netgen.Generate(netgen.Config{Name: "r", Cells: 400, Nets: 500, Rows: 8, Seed: 44})
 	netgen.ScatterRandom(nl, 44)
 
-	gc := NewGrid(nl.Region.Outline, 64, 64)
-	gc.Accumulate(nl)
-	gr := NewGrid(nl.Region.Outline, 64, 64)
-	gr.Accumulate(nl)
+	g := NewGrid(nl.Region.Outline, 64, 64)
+	g.Accumulate(nl)
 
-	fc := ComputeField(gc, FFT)
-	fr := ComputeField(gr, RealFFT)
+	fd := ComputeField(g, Direct)
+	fr := ComputeField(g, RealFFT)
 	var scale float64
-	for i := range fc.FX {
-		scale = math.Max(scale, math.Max(math.Abs(fc.FX[i]), math.Abs(fc.FY[i])))
+	for i := range fd.FX {
+		scale = math.Max(scale, math.Max(math.Abs(fd.FX[i]), math.Abs(fd.FY[i])))
 	}
-	for i := range fc.FX {
-		if d := math.Abs(fr.FX[i] - fc.FX[i]); d > 1e-9*(1+scale) {
-			t.Fatalf("FX differs at %d: %g vs %g", i, fr.FX[i], fc.FX[i])
+	for i := range fd.FX {
+		if d := math.Abs(fr.FX[i] - fd.FX[i]); d > 1e-9*(1+scale) {
+			t.Fatalf("FX differs at %d: %g vs %g", i, fr.FX[i], fd.FX[i])
 		}
-		if d := math.Abs(fr.FY[i] - fc.FY[i]); d > 1e-9*(1+scale) {
-			t.Fatalf("FY differs at %d: %g vs %g", i, fr.FY[i], fc.FY[i])
+		if d := math.Abs(fr.FY[i] - fd.FY[i]); d > 1e-9*(1+scale) {
+			t.Fatalf("FY differs at %d: %g vs %g", i, fr.FY[i], fd.FY[i])
 		}
 	}
 }
 
-// TestRealFFTCachedMatchesColdBitwise: the real-input cold path runs the
-// same spectrum/convolution kernels as the cached one, so hot and cold are
-// bit-identical (a stronger guarantee than the complex paths' 1e-9).
+// TestRealFFTCachedMatchesColdBitwise: a grid that reuses its cached
+// solver (plan, kernel spectra, scratch) returns bit-identical fields to a
+// freshly built grid that constructs them cold. Two rounds, with the
+// placement moved in between, so the second cached solve reuses
+// everything on new density.
 func TestRealFFTCachedMatchesColdBitwise(t *testing.T) {
 	nl := netgen.Generate(netgen.Config{Name: "rc", Cells: 400, Nets: 500, Rows: 8, Seed: 45})
 	netgen.ScatterRandom(nl, 45)
 
 	hot := NewGrid(nl.Region.Outline, 64, 64)
-	hot.Accumulate(nl)
-	cold := NewGrid(nl.Region.Outline, 64, 64)
-	cold.NoCache = true
-	cold.Accumulate(nl)
-
-	// Two rounds so the second cached solve reuses plan, spectra, scratch.
 	for round := 0; round < 2; round++ {
+		if round > 0 {
+			netgen.ScatterRandom(nl, 46)
+		}
+		hot.Accumulate(nl)
+		cold := NewGrid(nl.Region.Outline, 64, 64)
+		cold.Accumulate(nl)
 		fh := ComputeField(hot, RealFFT)
 		fc := ComputeField(cold, RealFFT)
 		for i := range fh.FX {
@@ -61,18 +62,19 @@ func TestRealFFTCachedMatchesColdBitwise(t *testing.T) {
 	}
 }
 
-// TestFieldCacheRekeysOnMethodSwitch: flipping one grid between complex and
-// real solvers must rebuild the cache each time, not replay the other
-// pipeline's spectra.
+// TestFieldCacheRekeysOnMethodSwitch: interleaving Direct solves with
+// cached real-FFT solves on one grid must leave the cache intact — the
+// real-FFT solve after the switch reproduces the one before it bit for
+// bit, and the Direct oracle agrees with both to roundoff.
 func TestFieldCacheRekeysOnMethodSwitch(t *testing.T) {
 	nl := netgen.Generate(netgen.Config{Name: "sw", Cells: 300, Nets: 400, Rows: 8, Seed: 46})
 	netgen.ScatterRandom(nl, 46)
 	g := NewGrid(nl.Region.Outline, 64, 64)
 	g.Accumulate(nl)
 
-	want := ComputeField(g, FFT)
-	mid := ComputeField(g, RealFFT)
-	got := ComputeField(g, FFT)
+	want := ComputeField(g, RealFFT)
+	mid := ComputeField(g, Direct)
+	got := ComputeField(g, RealFFT)
 
 	var scale float64
 	for i := range want.FX {
@@ -80,10 +82,10 @@ func TestFieldCacheRekeysOnMethodSwitch(t *testing.T) {
 	}
 	for i := range want.FX {
 		if math.Float64bits(want.FX[i]) != math.Float64bits(got.FX[i]) {
-			t.Fatalf("complex solve after method switch is not reproducible at bin %d", i)
+			t.Fatalf("real-FFT solve after method switch is not reproducible at bin %d", i)
 		}
 		if d := math.Abs(mid.FX[i] - want.FX[i]); d > 1e-9*(1+scale) {
-			t.Fatalf("real solve diverged at bin %d by %g", i, d)
+			t.Fatalf("direct solve diverged at bin %d by %g", i, d)
 		}
 	}
 }
@@ -92,7 +94,7 @@ func TestMethodStringAndParse(t *testing.T) {
 	for _, tc := range []struct {
 		m   Method
 		tag string
-	}{{Auto, "auto"}, {Direct, "direct"}, {FFT, "fft"}, {RealFFT, "rfft"}} {
+	}{{Auto, "auto"}, {Direct, "direct"}, {RealFFT, "rfft"}} {
 		if tc.m.String() != tc.tag {
 			t.Errorf("%d.String() = %q, want %q", tc.m, tc.m.String(), tc.tag)
 		}
@@ -101,8 +103,10 @@ func TestMethodStringAndParse(t *testing.T) {
 			t.Errorf("ParseMethod(%q) = %v,%v", tc.tag, m, ok)
 		}
 	}
-	if _, ok := ParseMethod("spectral"); ok {
-		t.Error("ParseMethod accepted an unknown tag")
+	for _, tag := range []string{"spectral", "fft"} {
+		if _, ok := ParseMethod(tag); ok {
+			t.Errorf("ParseMethod accepted the unknown tag %q", tag)
+		}
 	}
 	if m, ok := ParseMethod(""); !ok || m != Auto {
 		t.Error("empty tag must parse as Auto")

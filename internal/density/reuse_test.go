@@ -41,26 +41,26 @@ func TestAccumulateParallelIsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCachedFieldMatchesCold: two solves on one grid through its cached
+// real-FFT solver (the second reuses plan, kernel spectra and scratch)
+// match, bit for bit, a solve on a freshly built grid of the same density
+// that constructs all of them cold.
 func TestCachedFieldMatchesCold(t *testing.T) {
 	nl := netgen.Generate(netgen.Config{Name: "c", Cells: 400, Nets: 500, Rows: 8, Seed: 42})
 	netgen.ScatterRandom(nl, 42)
 
 	hot := NewGrid(nl.Region.Outline, 64, 64)
 	hot.Accumulate(nl)
-	cold := NewGrid(nl.Region.Outline, 64, 64)
-	cold.NoCache = true
-	cold.Accumulate(nl)
-
-	// Two solves through the cache (the second reuses plan, spectra and
-	// scratch) against the allocate-and-retransform baseline.
 	for round := 0; round < 2; round++ {
-		fh := ComputeField(hot, FFT)
-		fc := ComputeField(cold, FFT)
+		cold := NewGrid(nl.Region.Outline, 64, 64)
+		cold.Accumulate(nl)
+		fh := ComputeField(hot, RealFFT)
+		fc := ComputeField(cold, RealFFT)
 		for i := range fh.FX {
-			if d := math.Abs(fh.FX[i] - fc.FX[i]); d > 1e-9 {
+			if math.Float64bits(fh.FX[i]) != math.Float64bits(fc.FX[i]) {
 				t.Fatalf("round %d: FX differs at %d: %g vs %g", round, i, fh.FX[i], fc.FX[i])
 			}
-			if d := math.Abs(fh.FY[i] - fc.FY[i]); d > 1e-9 {
+			if math.Float64bits(fh.FY[i]) != math.Float64bits(fc.FY[i]) {
 				t.Fatalf("round %d: FY differs at %d: %g vs %g", round, i, fh.FY[i], fc.FY[i])
 			}
 		}
@@ -75,7 +75,7 @@ func TestFieldCacheInvalidatedByNothing(t *testing.T) {
 	netgen.ScatterRandom(nl, 43)
 	g := NewGrid(nl.Region.Outline, 64, 64)
 	g.Accumulate(nl)
-	f1 := ComputeField(g, FFT)
+	f1 := ComputeField(g, RealFFT)
 
 	// Move everything and re-accumulate: the cached solver must see the new
 	// density, not replay the old solve.
@@ -85,7 +85,7 @@ func TestFieldCacheInvalidatedByNothing(t *testing.T) {
 		}
 	}
 	g.Accumulate(nl)
-	f2 := ComputeField(g, FFT)
+	f2 := ComputeField(g, RealFFT)
 
 	var diff float64
 	for i := range f1.FX {

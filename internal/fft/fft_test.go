@@ -29,6 +29,19 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
+// forward and inverse run the shared radix-2 tables on one 1-D signal — the
+// transform RealPlan applies along each axis; inverse includes the 1/n
+// scaling.
+func forward(a []complex128) { tableFor(len(a)).transform(a, false) }
+
+func inverse(a []complex128) {
+	tableFor(len(a)).transform(a, true)
+	scale := complex(1/float64(len(a)), 0)
+	for i := range a {
+		a[i] *= scale
+	}
+}
+
 func TestForwardMatchesDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 32} {
@@ -38,7 +51,7 @@ func TestForwardMatchesDFT(t *testing.T) {
 		}
 		want := naiveDFT(a)
 		got := append([]complex128(nil), a...)
-		Forward(got)
+		forward(got)
 		for i := range want {
 			if cmplx.Abs(got[i]-want[i]) > 1e-9 {
 				t.Fatalf("n=%d: FFT[%d] = %v, DFT = %v", n, i, got[i], want[i])
@@ -53,12 +66,64 @@ func naiveDFT(a []complex128) []complex128 {
 	for k := 0; k < n; k++ {
 		var s complex128
 		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64(k*j) / float64(n)
+			ang := -2 * math.Pi * float64(k*j%n) / float64(n)
 			s += a[j] * cmplx.Exp(complex(0, ang))
 		}
 		out[k] = s
 	}
 	return out
+}
+
+// naiveDFT2 is the full W×H spectrum of a real row-major field by direct
+// summation: naiveDFT along every row, then along every column.
+func naiveDFT2(src []float64, w, h int) []complex128 {
+	full := make([]complex128, w*h)
+	row := make([]complex128, w)
+	for y := 0; y < h; y++ {
+		for x := range row {
+			row[x] = complex(src[y*w+x], 0)
+		}
+		copy(full[y*w:(y+1)*w], naiveDFT(row))
+	}
+	col := make([]complex128, h)
+	for x := 0; x < w; x++ {
+		for y := range col {
+			col[y] = full[y*w+x]
+		}
+		for y, v := range naiveDFT(col) {
+			full[y*w+x] = v
+		}
+	}
+	return full
+}
+
+// naiveConvolve is the cyclic 2-D convolution of src with kernel by direct
+// summation.
+func naiveConvolve(src, kernel []float64, w, h int) []float64 {
+	out := make([]float64, w*h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			var s float64
+			for ky := 0; ky < h; ky++ {
+				for kx := 0; kx < w; kx++ {
+					sx := ((x-kx)%w + w) % w
+					sy := ((y-ky)%h + h) % h
+					s += src[sy*w+sx] * kernel[ky*w+kx]
+				}
+			}
+			out[y*w+x] = s
+		}
+	}
+	return out
+}
+
+// convolve2D is the field solver's convolution: the kernel's half-spectrum
+// once, then the cached-spectrum path.
+func convolve2D(dst, src, kernel []float64, w, h int) {
+	p := NewRealPlan(w, h)
+	spec := make([]complex128, p.SpecLen())
+	p.Spectrum(spec, kernel)
+	p.ConvolveSpectra([][]float64{dst}, src, [][]complex128{spec})
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -68,8 +133,8 @@ func TestRoundTrip(t *testing.T) {
 		a[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	got := append([]complex128(nil), a...)
-	Forward(got)
-	Inverse(got)
+	forward(got)
+	inverse(got)
 	for i := range a {
 		if cmplx.Abs(got[i]-a[i]) > 1e-10 {
 			t.Fatalf("roundtrip[%d] = %v, want %v", i, got[i], a[i])
@@ -83,35 +148,7 @@ func TestNonPow2Panics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Forward(make([]complex128, 6))
-}
-
-func TestGridRoundTrip2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := NewGrid(8, 16)
-	orig := make([]complex128, len(g.Data))
-	for i := range g.Data {
-		g.Data[i] = complex(rng.NormFloat64(), 0)
-		orig[i] = g.Data[i]
-	}
-	g.Forward2D()
-	g.Inverse2D()
-	for i := range orig {
-		if cmplx.Abs(g.Data[i]-orig[i]) > 1e-10 {
-			t.Fatalf("2D roundtrip[%d] = %v, want %v", i, g.Data[i], orig[i])
-		}
-	}
-}
-
-func TestGridAtSet(t *testing.T) {
-	g := NewGrid(4, 4)
-	g.Set(1, 2, 5)
-	if g.At(1, 2) != 5 {
-		t.Error("At/Set broken")
-	}
-	if g.Data[2*4+1] != 5 {
-		t.Error("row-major layout broken")
-	}
+	forward(make([]complex128, 6))
 }
 
 func TestNewGridNonPow2Panics(t *testing.T) {
@@ -120,7 +157,7 @@ func TestNewGridNonPow2Panics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewGrid(5, 4)
+	NewRealPlan(5, 4)
 }
 
 func TestConvolve2DImpulse(t *testing.T) {
@@ -134,7 +171,7 @@ func TestConvolve2DImpulse(t *testing.T) {
 	}
 	kernel[0] = 1
 	dst := make([]float64, w*h)
-	Convolve2D(dst, src, kernel, w, h)
+	convolve2D(dst, src, kernel, w, h)
 	for i := range src {
 		if math.Abs(dst[i]-src[i]) > 1e-10 {
 			t.Fatalf("impulse conv[%d] = %v, want %v", i, dst[i], src[i])
@@ -151,7 +188,7 @@ func TestConvolve2DShift(t *testing.T) {
 	kernel := make([]float64, w*h)
 	kernel[0*w+1] = 1
 	dst := make([]float64, w*h)
-	Convolve2D(dst, src, kernel, w, h)
+	convolve2D(dst, src, kernel, w, h)
 	if math.Abs(dst[0*w+1]-1) > 1e-10 {
 		t.Errorf("shifted value at (1,0) = %v", dst[0*w+1])
 	}
@@ -170,20 +207,11 @@ func TestConvolve2DMatchesNaive(t *testing.T) {
 		kernel[i] = rng.NormFloat64()
 	}
 	dst := make([]float64, w*h)
-	Convolve2D(dst, src, kernel, w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			want := 0.0
-			for ky := 0; ky < h; ky++ {
-				for kx := 0; kx < w; kx++ {
-					sx := ((x-kx)%w + w) % w
-					sy := ((y-ky)%h + h) % h
-					want += src[sy*w+sx] * kernel[ky*w+kx]
-				}
-			}
-			if math.Abs(dst[y*w+x]-want) > 1e-9 {
-				t.Fatalf("conv(%d,%d) = %v, want %v", x, y, dst[y*w+x], want)
-			}
+	convolve2D(dst, src, kernel, w, h)
+	want := naiveConvolve(src, kernel, w, h)
+	for i := range want {
+		if math.Abs(dst[i]-want[i]) > 1e-9 {
+			t.Fatalf("conv(%d,%d) = %v, want %v", i%w, i/w, dst[i], want[i])
 		}
 	}
 }
@@ -194,7 +222,7 @@ func TestConvolveDimensionPanic(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Convolve2D(make([]float64, 4), make([]float64, 8), make([]float64, 8), 4, 2)
+	convolve2D(make([]float64, 4), make([]float64, 8), make([]float64, 8), 4, 2)
 }
 
 func TestParsevalProperty(t *testing.T) {
@@ -205,7 +233,7 @@ func TestParsevalProperty(t *testing.T) {
 		a[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		timeEnergy += real(a[i])*real(a[i]) + imag(a[i])*imag(a[i])
 	}
-	Forward(a)
+	forward(a)
 	var freqEnergy float64
 	for i := range a {
 		freqEnergy += real(a[i])*real(a[i]) + imag(a[i])*imag(a[i])

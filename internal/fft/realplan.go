@@ -6,11 +6,11 @@ import (
 	"repro/internal/par"
 )
 
-// RealPlan is the real-input counterpart of Plan: a W×H pipeline that
-// exploits the Hermitian symmetry of real signals, F[k,v] =
-// conj(F[(W−k)%W, (H−v)%H]), to transform and store only the non-redundant
-// half-spectrum of (W/2+1)×H complex values — half the transform flops and
-// half the spectrum memory of the complex pipeline.
+// RealPlan is a W×H real-input 2-D transform pipeline: it exploits the
+// Hermitian symmetry of real signals, F[k,v] = conj(F[(W−k)%W, (H−v)%H]),
+// to transform and store only the non-redundant half-spectrum of
+// (W/2+1)×H complex values — half the transform flops and half the
+// spectrum memory of a complex 2-D transform of the same grid.
 //
 // The row pass packs two adjacent real rows into one complex signal
 // (c = row_y + i·row_{y+1}), runs a single length-W complex FFT on the
@@ -31,7 +31,8 @@ type RealPlan struct {
 }
 
 // NewRealPlan prepares a real-input plan for W×H grids (both powers of
-// two). Tables are shared globally with complex plans of the same lengths.
+// two). Tables are shared globally between plans with axes of the same
+// lengths.
 func NewRealPlan(w, h int) *RealPlan {
 	if !IsPow2(w) || !IsPow2(h) {
 		panic(fmt.Sprintf("fft: real plan %dx%d not power-of-two", w, h))
@@ -199,30 +200,11 @@ func (p *RealPlan) scratch() (a, b []complex128) {
 	return p.a, p.b
 }
 
-// Convolve computes the cyclic 2-D convolution of src with kernel into dst
-// (all length W·H), transforming both real inputs through half-spectra.
-// Prefer ConvolveSpectra with a cached kernel spectrum on iterative paths.
-func (p *RealPlan) Convolve(dst, src, kernel []float64) {
-	n := p.W * p.H
-	if len(dst) != n || len(src) != n || len(kernel) != n {
-		panic("fft: RealPlan.Convolve dimension mismatch")
-	}
-	defer convolveSeconds.Time()()
-	a, b := p.scratch()
-	p.Spectrum(a, src)
-	p.forwardRows(b, kernel)
-	p.transformCols(b, false)
-	for i := range a {
-		b[i] *= a[i]
-	}
-	p.inverse(dst, b)
-}
-
 // ConvolveSpectra transforms src once and convolves it against each cached
 // half-spectrum: dsts[i] receives IRFFT(RFFT(src)·specs[i]). Pointwise
 // products of Hermitian half-spectra are exactly the half-spectra of the
-// full-spectrum products, so this matches Plan.ConvolveSpectra to roundoff
-// at half the transform cost.
+// full-spectrum products, so this is the full cyclic convolution at half the
+// transform cost of a complex pipeline.
 func (p *RealPlan) ConvolveSpectra(dsts [][]float64, src []float64, specs [][]complex128) {
 	n := p.W * p.H
 	if len(src) != n || len(dsts) != len(specs) {

@@ -226,20 +226,15 @@ func GraphConfig() callgraph.Config {
 			// Field-solver cache miss: plan + kernel-spectrum construction,
 			// guarded by the pw/ph topology check in fieldSolver.
 			"(*repro/internal/density.Grid).fieldSolver",
-			// Baseline comparison paths, kept deliberately allocation-heavy
-			// (NoCache / Direct method) so the cached path has a reference.
-			"repro/internal/density.computeFFTCold",
-			"repro/internal/density.computeRealFFTCold",
+			// The Direct oracle, kept deliberately allocation-heavy so the
+			// cached path has a reference.
 			"repro/internal/density.computeDirect",
 			// Twiddle/bit-reversal table construction, amortized globally
 			// through tableCache.
-			"repro/internal/fft.NewPlan",
 			"repro/internal/fft.NewRealPlan",
 			// Symbolic rebuild on topology change; steady state replays the
-			// numeric refill through the cached pattern instead. qp.Build is
-			// the uncached one-shot assembly behind the NoReuse baseline flag.
+			// numeric refill through the cached pattern instead.
 			"(*repro/internal/qp.Assembler).rebuild",
-			"repro/internal/qp.Build",
 			// IC0 pattern construction: allocation happens once per sparsity
 			// pattern; the steady state replays alloc-free Refactor calls
 			// through the cached IC0Factor.

@@ -29,8 +29,6 @@ func TestConfigHashStability(t *testing.T) {
 		{K: 0.2, MaxIter: 100, StopSquareFactor: 5},
 		{K: 0.2, MaxIter: 100, CG: sparse.CGOptions{Tol: 1e-4}},
 		{K: 0.2, MaxIter: 100, CG: sparse.CGOptions{Precond: sparse.IC0}},
-		{K: 0.2, MaxIter: 100, NoWarmStart: true},
-		{K: 0.2, MaxIter: 100, NoReuse: true},
 		{K: 0.2, MaxIter: 100, ForceFloor: 0.1},
 		{K: 0.2, MaxIter: 100, KeepPlacement: true},
 	}

@@ -11,20 +11,23 @@ import (
 )
 
 // solver2Config is the v2 solver engine under test: IC0-preconditioned CG
-// plus the real-input FFT field solver.
+// plus the real-input FFT field solver; cold selects the coldEngine
+// reference.
 func solver2Config(maxIter int, cold bool) Config {
-	return Config{
+	cfg := Config{
 		MaxIter:     maxIter,
-		NoReuse:     cold,
-		NoWarmStart: cold,
 		CG:          sparse.CGOptions{Precond: sparse.IC0},
 		FieldMethod: density.RealFFT,
 	}
+	if cold {
+		cfg.BeforeTransform = coldEngine(true)
+	}
+	return cfg
 }
 
 // TestSolverV2HotEngineMatchesCold is TestHotEngineMatchesCold with the v2
-// solver engine switched on: reuse (pattern refill + refactored IC0 factor +
-// cached real-FFT spectra) must land on the same placement as the cold
+// solver engine switched on: reuse (pattern refill + refactored IC0 factor)
+// and the warm start must land on the same placement as the cold
 // rebuild-everything engine, at the paper's quality level.
 func TestSolverV2HotEngineMatchesCold(t *testing.T) {
 	run := func(cold bool) (Result, *netlist.Netlist) {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/netgen"
 	"repro/internal/netlist"
+	"repro/internal/qp"
 )
 
 func warmNetlist(seed int64) *netlist.Netlist {
@@ -14,16 +15,37 @@ func warmNetlist(seed int64) *netlist.Netlist {
 	})
 }
 
+// coldEngine is the cold reference engine as a BeforeTransform hook, which
+// Step runs before anything else. Before every transformation it discards
+// the cached assembler, so the system is built from scratch (fresh
+// sort/merge, fresh preconditioner pattern), and, with noWarm, zeroes the
+// CG starting guess, so each solve starts from the zero guess instead of
+// the previous response.
+func coldEngine(noWarm bool) func(int, *Placer) {
+	return func(_ int, p *Placer) {
+		p.asm = qp.NewAssembler(p.nl, qp.Options{Linearize: !p.cfg.NoLinearize, Model: p.cfg.NetModel})
+		if noWarm {
+			for i := range p.warmDX {
+				p.warmDX[i], p.warmDY[i] = 0, 0
+			}
+		}
+	}
+}
+
 // TestHotEngineMatchesCold runs the full iteration with every reuse
-// mechanism on and off. The two engines are not bit-identical — the refill
-// sums duplicate matrix entries in insertion order while the cold build sums
-// in sorted order (≈1e-16 relative), and the warm start changes the CG
-// trajectory below its 1e-6 tolerance — so the comparison is at the level
-// the paper cares about: same stopping behavior, same placement quality.
+// mechanism on and off (coldEngine). The two engines are not bit-identical
+// — the refill sums duplicate matrix entries in insertion order while the
+// cold build sums in sorted order (≈1e-16 relative), and the warm start
+// changes the CG trajectory below its 1e-6 tolerance — so the comparison
+// is at the level the paper cares about: same stopping behavior, same
+// placement quality.
 func TestHotEngineMatchesCold(t *testing.T) {
 	run := func(cold bool) (Result, *netlist.Netlist) {
 		nl := warmNetlist(51)
-		cfg := Config{MaxIter: 80, NoReuse: cold, NoWarmStart: cold}
+		cfg := Config{MaxIter: 80}
+		if cold {
+			cfg.BeforeTransform = coldEngine(true)
+		}
 		res, err := Global(nl, cfg)
 		if err != nil {
 			t.Fatalf("cold=%v: %v", cold, err)
@@ -68,7 +90,7 @@ func TestHotEngineMatchesCold(t *testing.T) {
 func TestWarmStartAloneKeepsQuality(t *testing.T) {
 	run := func(noWarm bool) Result {
 		nl := warmNetlist(52)
-		res, err := Global(nl, Config{MaxIter: 60, NoReuse: true, NoWarmStart: noWarm})
+		res, err := Global(nl, Config{MaxIter: 60, BeforeTransform: coldEngine(noWarm)})
 		if err != nil {
 			t.Fatalf("noWarm=%v: %v", noWarm, err)
 		}

@@ -531,12 +531,50 @@ func TestSubmitSolverKnobs(t *testing.T) {
 	}
 	assertLegalResult(t, hs.URL, sr.ID)
 
-	for _, req := range []SubmitRequest{
-		{Netlist: text, Precond: "ilu"},
-		{Netlist: text, Field: "spectral"},
-	} {
-		if code, _ := postJob(t, hs.URL, req); code != http.StatusBadRequest {
-			t.Fatalf("bad knob %q/%q accepted with %d, want 400", req.Precond, req.Field, code)
+	// post submits any JSON body and returns the status with the decoded
+	// job ID (on 202) or error message (on 4xx).
+	type reply struct {
+		ID    string `json:"id"`
+		Error string `json:"error"`
+	}
+	post := func(req any) (int, reply) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
 		}
+		resp, err := http.Post(hs.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var r reply
+		_ = json.NewDecoder(resp.Body).Decode(&r)
+		return resp.StatusCode, r
+	}
+	for _, tc := range []struct {
+		req   SubmitRequest
+		valid string // the valid values the 400 message must name
+	}{
+		{SubmitRequest{Netlist: text, Precond: "ilu"}, "jacobi, ic0, or auto"},
+		{SubmitRequest{Netlist: text, Field: "spectral"}, "auto, direct, or rfft"},
+		{SubmitRequest{Netlist: text, Field: "fft"}, "auto, direct, or rfft"},
+	} {
+		code, er := post(tc.req)
+		if code != http.StatusBadRequest {
+			t.Fatalf("bad knob %q/%q accepted with %d, want 400", tc.req.Precond, tc.req.Field, code)
+		}
+		if !strings.Contains(er.Error, tc.valid) {
+			t.Errorf("bad knob %q/%q: message %q does not name %q", tc.req.Precond, tc.req.Field, er.Error, tc.valid)
+		}
+	}
+
+	// The removed "cold" key is ignored like any unknown key: the job runs
+	// on the normal engine.
+	code, r := post(map[string]any{"netlist": text, "max_iter": 10, "cold": true})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit with a stale cold key: %d (%q), want 202", code, r.Error)
+	}
+	if st := pollTerminal(t, hs.URL, r.ID); st.State != StateDone {
+		t.Fatalf("stale cold key: state %q (err %q), want done", st.State, st.Error)
 	}
 }
