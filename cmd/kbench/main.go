@@ -49,7 +49,6 @@ func main() {
 		exp      = flag.String("exp", "", "experiment: fast, tradeoff, ablation, scaling, step, serve")
 		stepOut  = flag.String("step-out", "", "write the step experiment's JSON document to this file (e.g. BENCH_step.json)")
 		stepIter = flag.Int("step-iter", 60, "max placement transformations per step-experiment run")
-		stepPC   = flag.String("step-preconds", "", "comma-separated preconditioner sweep for the step experiment (default jacobi,ic0,auto; 'none' skips the sweep)")
 		stepChk  = flag.String("step-check", "", "compare the step experiment's hot run against this baseline BENCH_step.json and exit nonzero on regression")
 		stepChkN = flag.Int("step-check-cells", 10000, "cell count of the row the -step-check gate compares")
 		stepTol  = flag.Float64("step-check-tol", 0.20, "allowed fractional hot step-time regression for -step-check")
@@ -172,16 +171,7 @@ func main() {
 			}
 			ns = append(ns, n)
 		}
-		sweep := func(s string) []string {
-			switch s {
-			case "":
-				return nil // bench default
-			case "none":
-				return []string{""}
-			}
-			return splitComma(s)
-		}
-		b := bench.RunStepBench(opts, ns, *stepIter, sweep(*stepPC))
+		b := bench.RunStepBench(opts, ns, *stepIter)
 		bench.PrintStepBench(os.Stdout, b)
 		fmt.Println()
 		if *stepChk != "" {

@@ -6,6 +6,11 @@
 // With -gen cells:nets:rows a synthetic circuit is generated instead of
 // reading -in.
 //
+// The kraftwerk engine's speed parameter is -k (§4.1) and its stopping rule
+// is -stopsq (§4.2). The solver settings are not flags: the engine picks
+// IC0 or Jacobi preconditioning by system size and the real-input FFT or
+// the direct field sum by grid size.
+//
 // Interruption (kraftwerk engine): -timeout bounds the run's wall time and
 // Ctrl-C / SIGTERM stops it early; either way the best placement so far is
 // kept and written. -checkpoint FILE snapshots the interrupted iteration
@@ -67,21 +72,15 @@ func main() {
 		legal   = flag.Bool("legalize", true, "run legalization/detailed placement afterwards")
 		plot    = flag.Bool("plot", false, "print an ASCII plot of the result")
 		maxIter = flag.Int("maxiter", 0, "iteration cap (0 = default)")
-		precond = flag.String("precond", "auto", "CG preconditioner: jacobi, ic0, or auto (ic0 above a size threshold)")
-		field   = flag.String("field", "auto", "density field solver: auto, direct, or rfft (real-input FFT)")
 
-		gridBins  = flag.Int("gridbins", 0, "density grid resolution per axis (0 = automatic from design size)")
-		noLin     = flag.Bool("nolinearize", false, "disable the net-weight linearization (purely quadratic solve)")
-		netModel  = flag.String("netmodel", "clique", "net decomposition: clique (paper model), star, or hybrid")
-		keep      = flag.Bool("keep", false, "start from the input netlist's positions instead of gathering at the region center")
-		stopSq    = flag.Float64("stopsq", 0, "stopping-criterion multiple of average cell area (0 = default 4)")
-		emptyFrac = flag.Float64("emptyfrac", 0, "empty-bin demand fraction threshold (0 = default 0.25)")
-		floor     = flag.Float64("forcefloor", 0, "zero force increments below this fraction of the field maximum (0 = off)")
-		cgTol     = flag.Float64("cgtol", 0, "CG relative residual tolerance (0 = default 1e-6)")
-		cgMaxIter = flag.Int("cgmaxiter", 0, "CG iteration cap per solve (0 = default)")
-		timeout   = flag.Duration("timeout", 0, "wall-time budget for the kraftwerk run (0 = none); on expiry the best placement so far is kept")
-		ckpt      = flag.String("checkpoint", "", "write the iteration state here if the kraftwerk run is interrupted (-timeout or Ctrl-C)")
-		resume    = flag.String("resume", "", "resume a kraftwerk run from a -checkpoint snapshot instead of starting fresh")
+		gridBins = flag.Int("gridbins", 0, "density grid resolution per axis (0 = automatic from design size)")
+		noLin    = flag.Bool("nolinearize", false, "disable the net-weight linearization (purely quadratic solve)")
+		netModel = flag.String("netmodel", "clique", "net decomposition: clique (paper model), star, or hybrid")
+		keep     = flag.Bool("keep", false, "start from the input netlist's positions instead of gathering at the region center")
+		stopSq   = flag.Float64("stopsq", 0, "stopping-criterion multiple of average cell area (0 = default 4)")
+		timeout  = flag.Duration("timeout", 0, "wall-time budget for the kraftwerk run (0 = none); on expiry the best placement so far is kept")
+		ckpt     = flag.String("checkpoint", "", "write the iteration state here if the kraftwerk run is interrupted (-timeout or Ctrl-C)")
+		resume   = flag.String("resume", "", "resume a kraftwerk run from a -checkpoint snapshot instead of starting fresh")
 
 		tracePath = flag.String("trace", "", "write a JSONL run trace (one record per transformation)")
 		metrics   = flag.Bool("metrics", false, "dump the metrics registry as Prometheus text on exit")
@@ -130,14 +129,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	pc, ok := sparse.ParsePreconditioner(*precond)
-	if !ok {
-		log.Fatalf("unknown -precond %q (want jacobi, ic0, or auto)", *precond)
-	}
-	fm, ok := density.ParseMethod(*field)
-	if !ok {
-		log.Fatalf("unknown -field %q (want auto, direct, or rfft)", *field)
-	}
 	nm, ok := qp.ParseNetModel(*netModel)
 	if !ok {
 		log.Fatalf("unknown -netmodel %q (want clique, star, or hybrid)", *netModel)
@@ -160,10 +151,6 @@ func main() {
 			NetModel:         nm,
 			KeepPlacement:    *keep,
 			StopSquareFactor: *stopSq,
-			EmptyFrac:        *emptyFrac,
-			ForceFloor:       *floor,
-			CG:               sparse.CGOptions{Tol: *cgTol, MaxIter: *cgMaxIter, Precond: pc},
-			FieldMethod:      fm,
 			Spans:            spans, Metrics: reg,
 		}
 		if trace != nil {

@@ -5,13 +5,11 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/density"
 	"repro/internal/legalize"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 	"repro/internal/place"
 	"repro/internal/qp"
-	"repro/internal/sparse"
 )
 
 // AblationRow is one design-choice variant's result.
@@ -44,10 +42,8 @@ func RunAblation(opts Options, circuit string) ([]AblationRow, error) {
 		{"no linearization (pure quadratic)", place.Config{NoLinearize: true}},
 		{"star net model", place.Config{NetModel: qp.Star}},
 		{"hybrid net model (star >10 pins)", place.Config{NetModel: qp.Hybrid}},
-		{"direct field evaluation (O(B²) oracle)", place.Config{FieldMethod: density.Direct}},
 		{"coarse grid (half resolution)", place.Config{GridBins: halfAutoBins(base)}},
 		{"fine grid (double resolution)", place.Config{GridBins: 2 * autoBins(base)}},
-		{"IC(0) preconditioned CG (ICCG)", place.Config{CG: sparse.CGOptions{Precond: sparse.IC0}}},
 	}
 
 	var rows []AblationRow

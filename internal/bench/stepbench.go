@@ -10,7 +10,6 @@ import (
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 	"repro/internal/place"
-	"repro/internal/sparse"
 )
 
 // StepPhases is one run's per-phase wall time in integer nanoseconds,
@@ -56,29 +55,11 @@ type StepRun struct {
 	Phases     StepPhases `json:"phases"`
 }
 
-// StepVariant is one run under an explicit preconditioner of the sweep.
-// All variants run at the engine-default CG tolerance and field method,
-// like the default run.
-// Caveat for the quality columns: a fixed-iteration snapshot far from
-// convergence (the 50k row at 40 of ~300 transformations) is chaotically
-// sensitive, so switching solver engine there shifts HPWL by a few
-// percent in either direction — trajectory divergence, not solver
-// quality. Where trajectories stay aligned (2k/10k) the deltas are
-// below 0.25%, and solver-level equivalence is pinned by unit tests.
-type StepVariant struct {
-	Precond string `json:"precond"`
-	StepRun
-}
-
-// StepRow is the engine's run at the defaults on one circuit size, plus the
-// preconditioner sweep. Documents written before the cold engine and the
-// complex FFT were removed also carry a "cold" run and per-variant "field"
-// tags; the decoder ignores them.
+// StepRow is the engine's run at the defaults on one circuit size.
 type StepRow struct {
-	Cells    int           `json:"cells"`
-	Nets     int           `json:"nets"`
-	Hot      StepRun       `json:"hot"`
-	Variants []StepVariant `json:"variants,omitempty"`
+	Cells int     `json:"cells"`
+	Nets  int     `json:"nets"`
+	Hot   StepRun `json:"hot"`
 }
 
 // StepBench is the BENCH_step.json document: the per-phase cost of
@@ -91,21 +72,14 @@ type StepBench struct {
 }
 
 // RunStepBench places a synthetic circuit per size with the default engine
-// and records the per-phase time breakdown, then reruns it once per
-// preconditioner as a labeled variant. Every run starts from an identical
-// clone with the same seed, so quality deltas isolate the preconditioner.
-// A nil preconds defaults to the full jacobi/ic0/auto sweep; []string{""}
-// suppresses it.
-func RunStepBench(opts Options, sizes []int, maxIter int, preconds []string) StepBench {
+// and records the per-phase time breakdown.
+func RunStepBench(opts Options, sizes []int, maxIter int) StepBench {
 	opts.setDefaults()
 	if len(sizes) == 0 {
 		sizes = []int{2000, 10000}
 	}
 	if maxIter <= 0 {
 		maxIter = 60
-	}
-	if preconds == nil {
-		preconds = []string{"jacobi", "ic0", "auto"}
 	}
 	b := StepBench{GOMAXPROCS: runtime.GOMAXPROCS(0), Seed: opts.Seed, MaxIter: maxIter}
 	for _, n := range sizes {
@@ -118,35 +92,18 @@ func RunStepBench(opts Options, sizes []int, maxIter int, preconds []string) Ste
 			Seed:  opts.Seed,
 		})
 		row := StepRow{Cells: n, Nets: nets}
-		row.Hot = runStep(&opts, base, maxIter, "")
+		row.Hot = runStep(&opts, base, maxIter)
 		opts.logf("step %6d cells hot:  %6.2fs  %3d iters (%s)\n",
 			n, row.Hot.WallSec, row.Hot.Iterations, row.Hot.StopReason)
-		for _, pc := range preconds {
-			if pc == "" {
-				continue
-			}
-			v := StepVariant{Precond: pc}
-			v.StepRun = runStep(&opts, base, maxIter, pc)
-			opts.logf("step %6d cells %s: %6.2fs  %3d iters  %6d cg-it (%s)\n",
-				n, pc, v.WallSec, v.Iterations, v.CGIters, v.StopReason)
-			row.Variants = append(row.Variants, v)
-		}
 		b.Rows = append(b.Rows, row)
 	}
 	return b
 }
 
-func runStep(o *Options, base *netlist.Netlist, maxIter int, precond string) StepRun {
+func runStep(o *Options, base *netlist.Netlist, maxIter int) StepRun {
 	nl := base.Clone()
 	cgIters := 0
-	pc, ok := sparse.ParsePreconditioner(precond)
-	if !ok {
-		return StepRun{StopReason: "error: unknown preconditioner " + precond}
-	}
-	cfg := o.placeCfg(place.Config{
-		MaxIter: maxIter,
-		CG:      sparse.CGOptions{Precond: pc},
-	}, nl)
+	cfg := o.placeCfg(place.Config{MaxIter: maxIter}, nl)
 	prev := cfg.OnIteration
 	cfg.OnIteration = func(s place.IterStats) {
 		cgIters += s.CGIterX + s.CGIterY
@@ -185,14 +142,10 @@ func PrintStepBench(w io.Writer, b StepBench) {
 		"#cells", "mode", "wall[s]", "iters", "cg-it", "gather", "field", "build", "factor", "solve", "step")
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
 	for _, r := range b.Rows {
-		modes := []StepVariant{{Precond: "hot", StepRun: r.Hot}}
-		modes = append(modes, r.Variants...)
-		for _, m := range modes {
-			p := m.Phases
-			fmt.Fprintf(w, "%8d %-12s | %8.2f %6d %7d | %8.1fm %8.1fm %8.1fm %8.1fm %8.1fm | %8.1fm\n",
-				r.Cells, m.Precond, m.WallSec, m.Iterations, m.CGIters,
-				ms(p.Gather), ms(p.Field), ms(p.Build), ms(p.Factor), ms(p.SolvePair), ms(p.Step))
-		}
+		p := r.Hot.Phases
+		fmt.Fprintf(w, "%8d %-12s | %8.2f %6d %7d | %8.1fm %8.1fm %8.1fm %8.1fm %8.1fm | %8.1fm\n",
+			r.Cells, "hot", r.Hot.WallSec, r.Hot.Iterations, r.Hot.CGIters,
+			ms(p.Gather), ms(p.Field), ms(p.Build), ms(p.Factor), ms(p.SolvePair), ms(p.Step))
 	}
 }
 
@@ -207,10 +160,16 @@ func ReadStepBench(r io.Reader) (StepBench, error) {
 
 // CheckStepRegression gates CI on the hot engine's step time: it compares
 // the current hot run at the given cell count against the checked-in
-// baseline document, normalized per iteration so differing -step-iter
-// settings still compare, and errors when the current time exceeds the
-// baseline by more than tol (0.20 = +20%).
+// baseline document per iteration, and errors when the current time
+// exceeds the baseline by more than tol (0.20 = +20%). Both documents must
+// have been run with the same max_iter: the per-iteration cost falls as the
+// placement spreads, so an 8-iteration run against a 40-iteration
+// baseline would compare different phases of the run.
 func CheckStepRegression(cur, base StepBench, cells int, tol float64) error {
+	if cur.MaxIter != base.MaxIter {
+		return fmt.Errorf("step regression check needs equal max_iter: current %d, baseline %d (rerun with -step-iter %d)",
+			cur.MaxIter, base.MaxIter, base.MaxIter)
+	}
 	find := func(b StepBench, what string) (StepRun, error) {
 		for _, r := range b.Rows {
 			if r.Cells == cells {

@@ -46,20 +46,6 @@ func (m Method) String() string {
 	}
 }
 
-// ParseMethod maps a tag (as printed by String) back to the method; ok is
-// false for anything unrecognized.
-func ParseMethod(s string) (m Method, ok bool) {
-	switch s {
-	case "auto", "":
-		return Auto, true
-	case "direct":
-		return Direct, true
-	case "rfft":
-		return RealFFT, true
-	}
-	return Auto, false
-}
-
 // fieldSeconds times field evaluations per effective method (indexed by
 // Direct/RealFFT). Nil until EnableMetrics; a nil histogram skips even the
 // clock reads.

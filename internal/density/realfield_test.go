@@ -90,7 +90,7 @@ func TestFieldCacheRekeysOnMethodSwitch(t *testing.T) {
 	}
 }
 
-func TestMethodStringAndParse(t *testing.T) {
+func TestMethodString(t *testing.T) {
 	for _, tc := range []struct {
 		m   Method
 		tag string
@@ -98,17 +98,5 @@ func TestMethodStringAndParse(t *testing.T) {
 		if tc.m.String() != tc.tag {
 			t.Errorf("%d.String() = %q, want %q", tc.m, tc.m.String(), tc.tag)
 		}
-		m, ok := ParseMethod(tc.tag)
-		if !ok || m != tc.m {
-			t.Errorf("ParseMethod(%q) = %v,%v", tc.tag, m, ok)
-		}
-	}
-	for _, tag := range []string{"spectral", "fft"} {
-		if _, ok := ParseMethod(tag); ok {
-			t.Errorf("ParseMethod accepted the unknown tag %q", tag)
-		}
-	}
-	if m, ok := ParseMethod(""); !ok || m != Auto {
-		t.Error("empty tag must parse as Auto")
 	}
 }

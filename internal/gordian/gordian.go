@@ -33,8 +33,6 @@ type Config struct {
 	AnchorWeight float64
 	// Balance is the FM area balance tolerance (default 0.1).
 	Balance float64
-	// CG configures the solver.
-	CG sparse.CGOptions
 	// Seed drives FM tie-breaking.
 	Seed int64
 }
@@ -48,9 +46,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Balance <= 0 {
 		c.Balance = 0.1
-	}
-	if c.CG.Tol <= 0 {
-		c.CG.Tol = 1e-6
 	}
 }
 
@@ -184,12 +179,16 @@ func cutRect(r geom.Rect, vertical bool, frac float64) (geom.Rect, geom.Rect) {
 	return geom.NewRect(r.Lo.X, r.Lo.Y, r.Hi.X, y), geom.NewRect(r.Lo.X, y, r.Hi.X, r.Hi.Y)
 }
 
+// cgTol is the relative residual target of every solve; the
+// preconditioner and the iteration cap are the solver's defaults.
+const cgTol = 1e-6
+
 // solveWithAnchors solves the quadratic system with per-region
 // center-of-gravity springs (nil regions = free solve).
 func solveWithAnchors(nl *netlist.Netlist, regions []region, cfg Config) error {
 	sys := qp.Build(nl, qp.Options{Linearize: true})
 	if regions == nil {
-		_, err := sys.Solve(nil, cfg.CG)
+		_, err := sys.Solve(nil, sparse.CGOptions{Tol: cgTol})
 		return err
 	}
 	// Anchor each cell toward its region center with a constant force
@@ -212,7 +211,7 @@ func solveWithAnchors(nl *netlist.Netlist, regions []region, cfg Config) error {
 				forces[ci] = d.Scale(cfg.AnchorWeight * diag[vi])
 			}
 		}
-		if _, err := sys.SolveDelta(forces, cfg.CG); err != nil {
+		if _, err := sys.SolveDelta(forces, sparse.CGOptions{Tol: cgTol}); err != nil {
 			return err
 		}
 	}

@@ -32,16 +32,10 @@ func (c Config) Hash() string {
 	put("k=%g", c.K)
 	put("maxiter=%d", c.MaxIter)
 	put("gridbins=%d", c.GridBins)
-	put("field=%d", int(c.FieldMethod))
 	put("nolin=%t", c.NoLinearize)
 	put("netmodel=%d", int(c.NetModel))
 	put("keep=%t", c.KeepPlacement)
 	put("stopsq=%g", c.StopSquareFactor)
-	put("emptyfrac=%g", c.EmptyFrac)
-	put("cgtol=%g", c.CG.Tol)
-	put("cgmaxiter=%d", c.CG.MaxIter)
-	put("precond=%d", int(c.CG.Precond))
-	put("forcefloor=%g", c.ForceFloor)
 	put("beforetransform=%t", c.BeforeTransform != nil)
 	put("extrademand=%t", c.ExtraDemand != nil)
 	return fmt.Sprintf("%016x", h.Sum64())

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/netgen"
-	"repro/internal/sparse"
 )
 
 func TestConfigHashStability(t *testing.T) {
@@ -27,9 +26,6 @@ func TestConfigHashStability(t *testing.T) {
 		{K: 0.2, MaxIter: 100, GridBins: 64},
 		{K: 0.2, MaxIter: 100, NoLinearize: true},
 		{K: 0.2, MaxIter: 100, StopSquareFactor: 5},
-		{K: 0.2, MaxIter: 100, CG: sparse.CGOptions{Tol: 1e-4}},
-		{K: 0.2, MaxIter: 100, CG: sparse.CGOptions{Precond: sparse.IC0}},
-		{K: 0.2, MaxIter: 100, ForceFloor: 0.1},
 		{K: 0.2, MaxIter: 100, KeepPlacement: true},
 	}
 	seen := map[string]int{a.Hash(): -1}

@@ -38,10 +38,6 @@ type Config struct {
 	// GridBins is the density grid resolution per axis (power of two
 	// recommended). 0 picks automatically from the design size.
 	GridBins int
-	// FieldMethod selects how eq. (9) is evaluated. The default Auto
-	// picks the real-input FFT pipeline on power-of-two grids of at
-	// least 2048 bins and the direct sum below.
-	FieldMethod density.Method
 	// NoLinearize disables the [14] net-weight linearization, making the
 	// solve purely quadratic.
 	NoLinearize bool
@@ -55,11 +51,6 @@ type Config struct {
 	// when no empty square larger than this many average cell areas
 	// remains (§4.2). Defaults to 4.
 	StopSquareFactor float64
-	// EmptyFrac is the demand fraction of average supply below which a
-	// density bin counts as empty. Defaults to 0.25.
-	EmptyFrac float64
-	// CG configures the linear solver.
-	CG sparse.CGOptions
 	// BeforeTransform, when set, runs before every placement
 	// transformation; timing-driven placement updates net weights here.
 	BeforeTransform func(iter int, p *Placer)
@@ -69,10 +60,6 @@ type Config struct {
 	ExtraDemand func(g *density.Grid) []float64
 	// OnIteration, when set, observes every completed transformation.
 	OnIteration func(s IterStats)
-	// ForceFloor zeroes force increments whose magnitude is below this
-	// fraction of the field maximum. ECO uses it so only the surroundings
-	// of a netlist change move, leaving the converged remainder untouched.
-	ForceFloor float64
 	// NoTrace suppresses Result.Trace accumulation in Run, so long
 	// MaxIter runs on large designs don't retain O(iterations) stats the
 	// caller never reads. Per-run aggregates (Result.Phases, HPWL,
@@ -100,14 +87,6 @@ func (c *Config) setDefaults(nl *netlist.Netlist) {
 	if c.StopSquareFactor <= 0 {
 		c.StopSquareFactor = 4
 	}
-	if c.EmptyFrac <= 0 {
-		c.EmptyFrac = 0.25
-	}
-	if c.CG.Tol <= 0 {
-		// Placement transformations tolerate a loose solve; the next
-		// iteration corrects any residual.
-		c.CG.Tol = 1e-6
-	}
 	if c.GridBins <= 0 {
 		n := nl.NumMovable()
 		b := int(math.Sqrt(float64(n)))
@@ -124,6 +103,20 @@ func (c *Config) setDefaults(nl *netlist.Netlist) {
 		}
 	}
 }
+
+// The engine's own solver settings. The user parameters are K and the
+// stopping rule (§4.1, §4.2); everything below is fixed, and the solver
+// paths are picked by size: IC0 or Jacobi by system size
+// (sparse.AutoIC0Threshold), the real-input FFT or the direct field sum by
+// grid size (density.Auto).
+const (
+	// cgTol is the CG relative residual target. Placement transformations
+	// tolerate a loose solve; the next iteration corrects any residual.
+	cgTol = 1e-6
+	// emptyFrac is the demand fraction of average supply below which a
+	// density bin counts as empty (§4.2).
+	emptyFrac = 0.25
+)
 
 // gridDims splits the bin budget across the axes proportionally to the
 // region aspect ratio so bins stay roughly square even on wide row regions.
@@ -288,6 +281,10 @@ type Placer struct {
 	// asm caches the quadratic system's sparsity pattern and storage
 	// across transformations.
 	asm *qp.Assembler
+	// precond and field are the solver paths, both Auto (picked by size)
+	// unless this package's tests force one.
+	precond sparse.Preconditioner
+	field   density.Method
 	// warmDX/warmDY hold the previous transformation's displacement
 	// response, the CG starting guess of the next one.
 	warmDX, warmDY []float64
@@ -426,9 +423,15 @@ func (p *Placer) Initialize() error {
 		}
 	}
 	sys := p.asm.Assemble()
-	_, err := sys.Solve(nil, p.cfg.CG)
+	_, err := sys.Solve(nil, p.cgOptions())
 	p.rs.bestSnap = p.nl.Snapshot()
 	return err
+}
+
+// cgOptions is the setting of every solve: the engine tolerance, the
+// solver's default iteration cap, and the placer's preconditioner.
+func (p *Placer) cgOptions() sparse.CGOptions {
+	return sparse.CGOptions{Tol: cgTol, Precond: p.precond}
 }
 
 // Step performs one placement transformation (§4.1): determine the density
@@ -454,7 +457,7 @@ func (p *Placer) Step() (IterStats, error) {
 	check.DensityBalanced("place/step grid", p.grid, 1e-6)
 
 	mark = obsv.StartTimer()
-	field := density.ComputeField(p.grid, cfg.FieldMethod)
+	field := density.ComputeField(p.grid, p.field)
 	tField = mark.Elapsed()
 	check.Finite("place/step field FX", field.FX)
 	check.Finite("place/step field FY", field.FY)
@@ -503,16 +506,11 @@ func (p *Placer) Step() (IterStats, error) {
 	for ci := range inc {
 		inc[ci] = geom.Point{}
 	}
-	floor := cfg.ForceFloor * maxMag
 	for ci := range nl.Cells {
 		if nl.Cells[ci].Fixed {
 			continue
 		}
-		f := field.At(nl.Cells[ci].Pos)
-		if f.Norm() < floor {
-			continue
-		}
-		inc[ci] = f.Scale(scale)
+		inc[ci] = field.At(nl.Cells[ci].Pos).Scale(scale)
 		p.forces[ci] = p.forces[ci].Add(inc[ci]) // accumulated e, for observers
 	}
 
@@ -550,7 +548,7 @@ func (p *Placer) Step() (IterStats, error) {
 		p.warmDX = make([]float64, sys.N())
 		p.warmDY = make([]float64, sys.N())
 	}
-	res, err := sys.SolveDeltaFrom(inc, p.warmDX, p.warmDY, cfg.CG)
+	res, err := sys.SolveDeltaFrom(inc, p.warmDX, p.warmDY, p.cgOptions())
 
 	// Per-axis trust region: K also bounds how far one transformation may
 	// move any cell (K·W horizontally, K·H vertically, saturating at 45 %
@@ -587,7 +585,7 @@ func (p *Placer) Step() (IterStats, error) {
 		Iter:        p.iter,
 		HPWL:        nl.HPWL(),
 		Overflow:    p.grid.Overflow(),
-		EmptySquare: p.grid.LargestEmptySquare(cfg.EmptyFrac),
+		EmptySquare: p.grid.LargestEmptySquare(emptyFrac),
 		MaxForce:    targetMax,
 		CGIterX:     res.X.Iterations,
 		CGIterY:     res.Y.Iterations,

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -10,19 +11,25 @@ import (
 	"repro/internal/sparse"
 )
 
-// solver2Config is the v2 solver engine under test: IC0-preconditioned CG
-// plus the real-input FFT field solver; cold selects the coldEngine
+// globalWith is Global with the solver paths forced instead of picked by
+// size: the preconditioner of every solve, the initial one included, and
+// the field method of every transformation.
+func globalWith(nl *netlist.Netlist, cfg Config, pc sparse.Preconditioner, fm density.Method) (Result, error) {
+	p := New(nl, cfg)
+	p.precond, p.field = pc, fm
+	return p.Run(context.Background())
+}
+
+// solver2 runs the v2 solver engine under test, IC0-preconditioned CG plus
+// the real-input FFT field solver, on these small designs that would
+// otherwise get Jacobi and the direct sum; cold selects the coldEngine
 // reference.
-func solver2Config(maxIter int, cold bool) Config {
-	cfg := Config{
-		MaxIter:     maxIter,
-		CG:          sparse.CGOptions{Precond: sparse.IC0},
-		FieldMethod: density.RealFFT,
-	}
+func solver2(nl *netlist.Netlist, maxIter int, cold bool) (Result, error) {
+	cfg := Config{MaxIter: maxIter}
 	if cold {
 		cfg.BeforeTransform = coldEngine(true)
 	}
-	return cfg
+	return globalWith(nl, cfg, sparse.IC0, density.RealFFT)
 }
 
 // TestSolverV2HotEngineMatchesCold is TestHotEngineMatchesCold with the v2
@@ -32,7 +39,7 @@ func solver2Config(maxIter int, cold bool) Config {
 func TestSolverV2HotEngineMatchesCold(t *testing.T) {
 	run := func(cold bool) (Result, *netlist.Netlist) {
 		nl := warmNetlist(54)
-		res, err := Global(nl, solver2Config(80, cold))
+		res, err := solver2(nl, 80, cold)
 		if err != nil {
 			t.Fatalf("cold=%v: %v", cold, err)
 		}
@@ -73,7 +80,7 @@ func TestSolverV2HotEngineMatchesCold(t *testing.T) {
 func TestSolverV2Deterministic(t *testing.T) {
 	run := func() *netlist.Netlist {
 		nl := warmNetlist(55)
-		if _, err := Global(nl, solver2Config(40, false)); err != nil {
+		if _, err := solver2(nl, 40, false); err != nil {
 			t.Fatal(err)
 		}
 		return nl
@@ -92,10 +99,7 @@ func TestSolverV2Deterministic(t *testing.T) {
 func TestIC0CutsCGIterations(t *testing.T) {
 	run := func(p sparse.Preconditioner) (total int, res Result) {
 		nl := warmNetlist(56)
-		res, err := Global(nl, Config{
-			MaxIter: 40,
-			CG:      sparse.CGOptions{Precond: p},
-		})
+		res, err := globalWith(nl, Config{MaxIter: 40}, p, density.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +160,7 @@ func TestSolvePairPhaseAccounting(t *testing.T) {
 // nothing is factored and the phase stays zero.
 func TestFactorPhaseAccounting(t *testing.T) {
 	for _, pc := range []sparse.Preconditioner{sparse.IC0, sparse.Jacobi} {
-		res, err := Global(warmNetlist(57), Config{MaxIter: 12, CG: sparse.CGOptions{Precond: pc}})
+		res, err := globalWith(warmNetlist(57), Config{MaxIter: 12}, pc, density.Auto)
 		if err != nil {
 			t.Fatal(err)
 		}

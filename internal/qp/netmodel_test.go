@@ -55,8 +55,8 @@ func TestStarMatrixIsSparserThanClique(t *testing.T) {
 
 func TestHybridSwitchesByDegree(t *testing.T) {
 	nl := starCircuit(t) // one 6-pin net
-	hyLow := Build(nl, Options{Model: Hybrid, HybridThreshold: 3})
-	hyHigh := Build(nl, Options{Model: Hybrid, HybridThreshold: 30})
+	hyLow := Build(nl, Options{Model: Hybrid, hybridThreshold: 3})
+	hyHigh := Build(nl, Options{Model: Hybrid, hybridThreshold: 30})
 	clique := Build(nl, Options{Model: Clique})
 	if hyHigh.Matrix().NNZ() != clique.Matrix().NNZ() {
 		t.Error("hybrid above threshold should equal clique")

@@ -118,7 +118,15 @@ func TestFullSkipKeepsFactorValid(t *testing.T) {
 	nl := netgen.Generate(netgen.Config{Name: "fs", Cells: 200, Nets: 260, Rows: 6, Seed: 63})
 	a := NewAssembler(nl, Options{}) // clique, no linearization: skippable
 	sys := a.Assemble()
-	if _, err := sys.SolveResidual(nil, cg); err != nil {
+	// A uniform force increment on every movable cell, so each solve runs
+	// CG iterations through the factor.
+	forces := make([]geom.Point, len(nl.Cells))
+	for ci := range nl.Cells {
+		if !nl.Cells[ci].Fixed {
+			forces[ci] = geom.Point{X: 1, Y: -1}
+		}
+	}
+	if _, err := sys.SolveDelta(forces, cg); err != nil {
 		t.Fatal(err)
 	}
 	if sys.cholDirty {
@@ -137,7 +145,7 @@ func TestFullSkipKeepsFactorValid(t *testing.T) {
 	if sys.cholDirty {
 		t.Fatal("full skip invalidated the cached factor")
 	}
-	if _, err := sys.SolveResidual(nil, cg); err != nil {
+	if _, err := sys.SolveDelta(forces, cg); err != nil {
 		t.Fatal(err)
 	}
 }

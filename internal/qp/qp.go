@@ -27,8 +27,8 @@ const (
 	// quasi-static star: no extra variable enters the system). O(k) edges,
 	// useful for designs with wide nets.
 	Star
-	// Hybrid uses Clique for nets up to HybridThreshold pins and Star
-	// above, the usual practical compromise.
+	// Hybrid uses Clique for nets up to 10 pins and Star above, the usual
+	// practical compromise.
 	Hybrid
 )
 
@@ -62,22 +62,30 @@ func ParseNetModel(s string) (NetModel, bool) {
 // Options controls system assembly.
 type Options struct {
 	// Linearize divides each clique edge weight by the current pin-to-pin
-	// distance (clamped below by MinDist), so successive solves approximate
-	// a linear wire-length objective [14].
+	// distance (clamped below by one row height), so successive solves
+	// approximate a linear wire-length objective [14].
 	Linearize bool
-	// MinDist is the linearization distance clamp. Defaults to 1 layout
-	// unit (one row height).
-	MinDist float64
-	// Anchor adds a tiny spring from every movable cell to the region
-	// center so components with no fixed connection still have a unique
-	// solution. Defaults to 1e-6 of the average connectivity.
-	Anchor float64
 	// Model selects the net decomposition (default Clique, the paper's).
 	Model NetModel
-	// HybridThreshold is the pin count above which Hybrid switches to the
-	// star model. Defaults to 10.
-	HybridThreshold int
+
+	// minDist and hybridThreshold default to defaultMinDist and
+	// defaultHybridThreshold; only this package's tests set them.
+	minDist         float64
+	hybridThreshold int
 }
+
+const (
+	// defaultMinDist is the linearization distance clamp: one layout unit
+	// (one row height).
+	defaultMinDist = 1
+	// defaultHybridThreshold is the pin count above which Hybrid switches
+	// to the star model.
+	defaultHybridThreshold = 10
+	// anchorScale sizes the spring from every movable cell to the region
+	// center, relative to the average connectivity per cell, so components
+	// with no fixed connection still have a unique solution.
+	anchorScale = 1e-4
+)
 
 // System is the assembled placement problem for one netlist.
 type System struct {
@@ -122,11 +130,11 @@ func Build(nl *netlist.Netlist, opts Options) *System {
 
 // normalize fills Options defaults.
 func normalize(opts Options) Options {
-	if opts.MinDist <= 0 {
-		opts.MinDist = 1
+	if opts.minDist <= 0 {
+		opts.minDist = defaultMinDist
 	}
-	if opts.HybridThreshold <= 0 {
-		opts.HybridThreshold = 10
+	if opts.hybridThreshold <= 0 {
+		opts.hybridThreshold = defaultHybridThreshold
 	}
 	return opts
 }
@@ -171,10 +179,7 @@ func (s *System) assembleInto(b *sparse.Builder) {
 	// Anchor springs to the region center keep C strictly positive
 	// definite even for floating components, and bound the displacement
 	// response of isolated cell islands to external forces.
-	anchor := s.opts.Anchor
-	if anchor <= 0 {
-		anchor = 1e-4 * (totalW/float64(maxInt(len(s.CellOf), 1)) + 1)
-	}
+	anchor := anchorScale * (totalW/float64(maxInt(len(s.CellOf), 1)) + 1)
 	c := nl.Region.Outline.Center()
 	for vi := range s.CellOf {
 		b.Add(vi, vi, anchor)
@@ -193,7 +198,7 @@ func (s *System) assembleNet(b *sparse.Builder, ni int) float64 {
 		return 0
 	}
 	useStar := s.opts.Model == Star && k > 2 ||
-		s.opts.Model == Hybrid && k > s.opts.HybridThreshold
+		s.opts.Model == Hybrid && k > s.opts.hybridThreshold
 	if useStar {
 		return s.assembleStar(b, ni)
 	}
@@ -206,8 +211,8 @@ func (s *System) assembleNet(b *sparse.Builder, ni int) float64 {
 			w := base
 			if s.opts.Linearize {
 				d := nl.PinPos(pi).Dist(nl.PinPos(pj))
-				if d < s.opts.MinDist {
-					d = s.opts.MinDist
+				if d < s.opts.minDist {
+					d = s.opts.minDist
 				}
 				w /= d
 			}
@@ -243,8 +248,8 @@ func (s *System) assembleStar(b *sparse.Builder, ni int) float64 {
 		w := base
 		if s.opts.Linearize {
 			d := nl.PinPos(p).Dist(centroid)
-			if d < s.opts.MinDist {
-				d = s.opts.MinDist
+			if d < s.opts.minDist {
+				d = s.opts.minDist
 			}
 			w /= d
 		}
@@ -442,54 +447,6 @@ func (s *System) SolveDeltaFrom(forces []geom.Point, dx0, dy0 []float64, opt spa
 	}
 	if errY != nil {
 		return out, fmt.Errorf("qp: y delta solve: %w", errY)
-	}
-	return out, nil
-}
-
-// SolveResidual moves the placement by δ = C⁻¹·(−d + f − C·p): the full
-// correction toward the equilibrium of the *current* system under the total
-// force vector f. Unlike SolveDelta (which only responds to a force
-// increment), this also reacts to changed net weights — a re-weighted
-// critical net pulls its cells together immediately, which timing-driven
-// placement depends on. The solve is conditioned on the residual, so small
-// corrections are not lost under a large absolute system.
-func (s *System) SolveResidual(forces []geom.Point, opt sparse.CGOptions) (SolveResult, error) {
-	nl := s.nl
-	n := s.N()
-	if n == 0 {
-		return SolveResult{}, nil
-	}
-	px := make([]float64, n)
-	py := make([]float64, n)
-	for vi, ci := range s.CellOf {
-		px[vi] = nl.Cells[ci].Pos.X
-		py[vi] = nl.Cells[ci].Pos.Y
-	}
-	bx := make([]float64, n)
-	by := make([]float64, n)
-	s.C.MulVec(bx, px)
-	s.C.MulVec(by, py)
-	for vi, ci := range s.CellOf {
-		bx[vi] = -s.Dx[vi] - bx[vi]
-		by[vi] = -s.Dy[vi] - by[vi]
-		if forces != nil {
-			bx[vi] += forces[ci].X
-			by[vi] += forces[ci].Y
-		}
-	}
-	dx := make([]float64, n)
-	dy := make([]float64, n)
-	var out SolveResult
-	errX, errY := s.solveBoth(dx, bx, dy, by, opt, &out)
-	for vi, ci := range s.CellOf {
-		nl.Cells[ci].Pos.X += dx[vi]
-		nl.Cells[ci].Pos.Y += dy[vi]
-	}
-	if errX != nil {
-		return out, fmt.Errorf("qp: x residual solve: %w", errX)
-	}
-	if errY != nil {
-		return out, fmt.Errorf("qp: y residual solve: %w", errY)
 	}
 	return out, nil
 }

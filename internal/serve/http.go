@@ -9,12 +9,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/density"
 	"repro/internal/netlist"
 	"repro/internal/obsv"
 	"repro/internal/place"
 	"repro/internal/qp"
-	"repro/internal/sparse"
 )
 
 // SubmitRequest is the POST /jobs JSON body. The netlist travels in the
@@ -30,12 +28,6 @@ type SubmitRequest struct {
 	// the job completes with its best placement so far and
 	// stop_reason "deadline". 0 uses the server default.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
-	// Precond selects the CG preconditioner: "jacobi", "ic0", or "auto"
-	// ("" → jacobi, the engine default). Unknown values are a 400.
-	Precond string `json:"precond,omitempty"`
-	// Field selects the density field solver: "auto", "direct", or
-	// "rfft" ("" → auto). Unknown values are a 400.
-	Field string `json:"field,omitempty"`
 	// GridBins is the density grid resolution per axis (0 → automatic
 	// from the design size).
 	GridBins int `json:"grid_bins,omitempty"`
@@ -51,20 +43,11 @@ type SubmitRequest struct {
 	// StopSquareFactor is the §4.2 stopping-criterion multiple (0 →
 	// engine default 4).
 	StopSquareFactor float64 `json:"stop_square_factor,omitempty"`
-	// EmptyFrac is the empty-bin demand threshold (0 → engine
-	// default 0.25).
-	EmptyFrac float64 `json:"empty_frac,omitempty"`
-	// ForceFloor zeroes force increments below this fraction of the
-	// field maximum (0 → off).
-	ForceFloor float64 `json:"force_floor,omitempty"`
-	// CGTol is the CG solver's relative residual tolerance (0 → engine
-	// default 1e-6).
-	CGTol float64 `json:"cg_tol,omitempty"`
-	// CGMaxIter caps CG iterations per solve (0 → engine default).
-	CGMaxIter int `json:"cg_max_iter,omitempty"`
-	// Keys not listed here are ignored, not rejected. In particular a
-	// "cold" key, which once selected a cold-engine baseline, is ignored:
-	// such requests run on the normal engine.
+	// Keys not listed here are ignored, not rejected. In particular the
+	// keys that once selected solver settings ("cold", "precond",
+	// "field", "cg_tol", "cg_max_iter", "empty_frac", "force_floor") are
+	// ignored: the engine picks its preconditioner and field solver by
+	// size, and such requests run exactly as they would without the key.
 }
 
 // SubmitResponse is the POST /jobs success body.
@@ -128,16 +111,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad netlist: " + err.Error()})
 		return
 	}
-	pc, ok := sparse.ParsePreconditioner(req.Precond)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown precond %q (want jacobi, ic0, or auto)", req.Precond)})
-		return
-	}
-	fm, ok := density.ParseMethod(req.Field)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown field %q (want auto, direct, or rfft)", req.Field)})
-		return
-	}
 	nm, ok := qp.ParseNetModel(req.NetModel)
 	if !ok {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown net_model %q (want clique, star, or hybrid)", req.NetModel)})
@@ -155,10 +128,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			NetModel:         nm,
 			KeepPlacement:    req.KeepPlacement,
 			StopSquareFactor: req.StopSquareFactor,
-			EmptyFrac:        req.EmptyFrac,
-			ForceFloor:       req.ForceFloor,
-			CG:               sparse.CGOptions{Tol: req.CGTol, MaxIter: req.CGMaxIter, Precond: pc},
-			FieldMethod:      fm,
 		},
 		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
 		Trace:    parent,

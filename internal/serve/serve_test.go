@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -513,23 +514,14 @@ func TestResultNotReady(t *testing.T) {
 	pollTerminal(t, hs.URL, job.ID())
 }
 
-// TestSubmitSolverKnobs: the precond/field request fields select the v2
-// solver engine per job, and unknown values are rejected up front with a
-// 400 rather than queued.
+// TestSubmitSolverKnobs: the request keys that once selected solver
+// settings are ignored like any unknown key. Each, sent with a non-default
+// value, is accepted and yields a result byte-identical to the same
+// request without it. An unknown net_model is still rejected up front
+// with a 400 rather than queued.
 func TestSubmitSolverKnobs(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	text := netlistText(t, testNetlist(200, 7))
-
-	code, sr := postJob(t, hs.URL, SubmitRequest{
-		Netlist: text, MaxIter: 10, Precond: "ic0", Field: "rfft",
-	})
-	if code != http.StatusAccepted {
-		t.Fatalf("submit with solver knobs: %d", code)
-	}
-	if st := pollTerminal(t, hs.URL, sr.ID); st.State != StateDone {
-		t.Fatalf("state %q (err %q), want done", st.State, st.Error)
-	}
-	assertLegalResult(t, hs.URL, sr.ID)
 
 	// post submits any JSON body and returns the status with the decoded
 	// job ID (on 202) or error message (on 4xx).
@@ -551,30 +543,56 @@ func TestSubmitSolverKnobs(t *testing.T) {
 		_ = json.NewDecoder(resp.Body).Decode(&r)
 		return resp.StatusCode, r
 	}
-	for _, tc := range []struct {
-		req   SubmitRequest
-		valid string // the valid values the 400 message must name
-	}{
-		{SubmitRequest{Netlist: text, Precond: "ilu"}, "jacobi, ic0, or auto"},
-		{SubmitRequest{Netlist: text, Field: "spectral"}, "auto, direct, or rfft"},
-		{SubmitRequest{Netlist: text, Field: "fft"}, "auto, direct, or rfft"},
-	} {
-		code, er := post(tc.req)
-		if code != http.StatusBadRequest {
-			t.Fatalf("bad knob %q/%q accepted with %d, want 400", tc.req.Precond, tc.req.Field, code)
+	// place submits the request with one extra key (none when key is
+	// empty), requires 202 and done, and returns the placed netlist text.
+	place := func(key string, val any) []byte {
+		req := map[string]any{"netlist": text, "max_iter": 10}
+		if key != "" {
+			req[key] = val
 		}
-		if !strings.Contains(er.Error, tc.valid) {
-			t.Errorf("bad knob %q/%q: message %q does not name %q", tc.req.Precond, tc.req.Field, er.Error, tc.valid)
+		code, r := post(req)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit with %q=%v: %d (%q), want 202", key, val, code, r.Error)
+		}
+		if st := pollTerminal(t, hs.URL, r.ID); st.State != StateDone {
+			t.Fatalf("%q=%v: state %q (err %q), want done", key, val, st.State, st.Error)
+		}
+		assertLegalResult(t, hs.URL, r.ID)
+		resp, err := http.Get(hs.URL + "/jobs/" + r.ID + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := place("", nil)
+	for _, tc := range []struct {
+		key string
+		val any
+	}{
+		{"precond", "ic0"},
+		{"field", "rfft"},
+		{"cg_tol", 1e-3},
+		{"cg_max_iter", 3},
+		{"empty_frac", 1e-6},
+		{"force_floor", 0.5},
+		// Removed before the keys above; once selected a cold engine.
+		{"cold", true},
+	} {
+		if got := place(tc.key, tc.val); !bytes.Equal(got, want) {
+			t.Errorf("%q=%v changed the result (%d bytes vs %d without the key)", tc.key, tc.val, len(got), len(want))
 		}
 	}
 
-	// The removed "cold" key is ignored like any unknown key: the job runs
-	// on the normal engine.
-	code, r := post(map[string]any{"netlist": text, "max_iter": 10, "cold": true})
-	if code != http.StatusAccepted {
-		t.Fatalf("submit with a stale cold key: %d (%q), want 202", code, r.Error)
+	code, er := post(SubmitRequest{Netlist: text, NetModel: "mesh"})
+	if code != http.StatusBadRequest {
+		t.Fatalf("net_model %q accepted with %d, want 400", "mesh", code)
 	}
-	if st := pollTerminal(t, hs.URL, r.ID); st.State != StateDone {
-		t.Fatalf("stale cold key: state %q (err %q), want done", st.State, st.Error)
+	if valid := "clique, star, or hybrid"; !strings.Contains(er.Error, valid) {
+		t.Errorf("net_model %q: message %q does not name %q", "mesh", er.Error, valid)
 	}
 }

@@ -42,21 +42,6 @@ func (p Preconditioner) String() string {
 	}
 }
 
-// ParsePreconditioner maps a tag (as printed by String) back to the
-// preconditioner; the empty tag means "unset" and maps to the Auto
-// default. ok is false for anything unrecognized.
-func ParsePreconditioner(s string) (p Preconditioner, ok bool) {
-	switch s {
-	case "auto", "":
-		return Auto, true
-	case "jacobi":
-		return Jacobi, true
-	case "ic0":
-		return IC0, true
-	}
-	return Auto, false
-}
-
 // Resolve maps Auto to the concrete preconditioner for an n-unknown
 // system; Jacobi and IC0 resolve to themselves.
 func (p Preconditioner) Resolve(n int) Preconditioner {

@@ -403,25 +403,12 @@ func TestIC0MissingDiagonalIsBreakdown(t *testing.T) {
 	}
 }
 
-func TestPrecondResolveAndParse(t *testing.T) {
+func TestPrecondResolve(t *testing.T) {
 	if Auto.Resolve(AutoIC0Threshold-1) != Jacobi || Auto.Resolve(AutoIC0Threshold) != IC0 {
 		t.Fatal("Auto threshold resolution wrong")
 	}
 	if Jacobi.Resolve(1<<20) != Jacobi || IC0.Resolve(1) != IC0 {
 		t.Fatal("explicit preconditioners must resolve to themselves")
-	}
-	for _, tc := range []struct {
-		in   string
-		want Preconditioner
-		ok   bool
-	}{
-		{"jacobi", Jacobi, true}, {"", Auto, true},
-		{"ic0", IC0, true}, {"auto", Auto, true}, {"cholesky", Auto, false},
-	} {
-		p, ok := ParsePreconditioner(tc.in)
-		if p != tc.want || ok != tc.ok {
-			t.Errorf("ParsePreconditioner(%q) = %v,%v want %v,%v", tc.in, p, ok, tc.want, tc.ok)
-		}
 	}
 	if Auto.String() != "auto" {
 		t.Errorf("Auto tag %q", Auto.String())

@@ -153,42 +153,6 @@ const (
 	StopDeadline   = place.StopDeadline
 )
 
-// Solver engine knobs (Config.CG and Config.FieldMethod).
-type (
-	// CGOptions configures the conjugate-gradient linear solver.
-	CGOptions = sparse.CGOptions
-	// Preconditioner selects the CG preconditioner.
-	Preconditioner = sparse.Preconditioner
-	// FieldMethod selects how the density force field (eq. 9) is
-	// evaluated.
-	FieldMethod = density.Method
-)
-
-// Preconditioner choices for CGOptions.Precond. PrecondAuto picks IC0 for
-// systems large enough to amortize the factorization and Jacobi otherwise.
-const (
-	PrecondJacobi = sparse.Jacobi
-	PrecondIC0    = sparse.IC0
-	PrecondAuto   = sparse.Auto
-)
-
-// Field-method choices for Config.FieldMethod. FieldDirect is the O(B²)
-// superposition oracle; FieldRealFFT evaluates the same convolution through
-// real-input transforms on half spectra.
-const (
-	FieldAuto    = density.Auto
-	FieldDirect  = density.Direct
-	FieldRealFFT = density.RealFFT
-)
-
-// ParsePreconditioner maps "jacobi", "ic0", "auto" (or "") to a
-// Preconditioner; ok is false for anything else.
-func ParsePreconditioner(s string) (Preconditioner, bool) { return sparse.ParsePreconditioner(s) }
-
-// ParseFieldMethod maps "auto" (or ""), "direct", "rfft" to a
-// FieldMethod; ok is false for anything else.
-func ParseFieldMethod(s string) (FieldMethod, bool) { return density.ParseMethod(s) }
-
 // NetModel selects how a multi-pin net maps onto two-pin springs
 // (Config.NetModel).
 type NetModel = qp.NetModel
