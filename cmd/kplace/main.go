@@ -56,6 +56,34 @@ import (
 	"repro/internal/visual"
 )
 
+// knobFlags registers the kraftwerk engine's knobs (place.Knobs) on fs
+// and returns the function that builds their Config once fs is parsed.
+func knobFlags(fs *flag.FlagSet) func() (place.Config, error) {
+	var (
+		k        = fs.Float64("k", 0.2, "Kraftwerk speed parameter K (0.2 standard, 1.0 fast)")
+		maxIter  = fs.Int("maxiter", 0, "iteration cap (0 = default)")
+		gridBins = fs.Int("gridbins", 0, "density grid resolution per axis (0 = automatic from design size)")
+		noLin    = fs.Bool("nolinearize", false, "disable the net-weight linearization (purely quadratic solve)")
+		netModel = fs.String("netmodel", "clique", "net decomposition: clique (paper model), star, or hybrid")
+		keep     = fs.Bool("keep", false, "start from the input netlist's positions instead of gathering at the region center")
+		stopSq   = fs.Float64("stopsq", 0, "stopping-criterion multiple of average cell area (0 = default 4)")
+	)
+	return func() (place.Config, error) {
+		nm, ok := qp.ParseNetModel(*netModel)
+		if !ok {
+			return place.Config{}, fmt.Errorf("unknown -netmodel %q (want clique, star, or hybrid)", *netModel)
+		}
+		return place.Config{
+			K: *k, MaxIter: *maxIter,
+			GridBins:         *gridBins,
+			NoLinearize:      *noLin,
+			NetModel:         nm,
+			KeepPlacement:    *keep,
+			StopSquareFactor: *stopSq,
+		}, nil
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kplace: ")
@@ -67,20 +95,12 @@ func main() {
 		gen     = flag.String("gen", "", "generate a synthetic circuit instead: cells:nets:rows")
 		seed    = flag.Int64("seed", 1, "seed for generation and stochastic engines")
 		engine  = flag.String("engine", "kraftwerk", "placement engine: kraftwerk, gordian, anneal")
-		k       = flag.Float64("k", 0.2, "Kraftwerk speed parameter K (0.2 standard, 1.0 fast)")
 		doTime  = flag.Bool("timing", false, "timing-driven placement (kraftwerk engine)")
 		legal   = flag.Bool("legalize", true, "run legalization/detailed placement afterwards")
 		plot    = flag.Bool("plot", false, "print an ASCII plot of the result")
-		maxIter = flag.Int("maxiter", 0, "iteration cap (0 = default)")
-
-		gridBins = flag.Int("gridbins", 0, "density grid resolution per axis (0 = automatic from design size)")
-		noLin    = flag.Bool("nolinearize", false, "disable the net-weight linearization (purely quadratic solve)")
-		netModel = flag.String("netmodel", "clique", "net decomposition: clique (paper model), star, or hybrid")
-		keep     = flag.Bool("keep", false, "start from the input netlist's positions instead of gathering at the region center")
-		stopSq   = flag.Float64("stopsq", 0, "stopping-criterion multiple of average cell area (0 = default 4)")
-		timeout  = flag.Duration("timeout", 0, "wall-time budget for the kraftwerk run (0 = none); on expiry the best placement so far is kept")
-		ckpt     = flag.String("checkpoint", "", "write the iteration state here if the kraftwerk run is interrupted (-timeout or Ctrl-C)")
-		resume   = flag.String("resume", "", "resume a kraftwerk run from a -checkpoint snapshot instead of starting fresh")
+		timeout = flag.Duration("timeout", 0, "wall-time budget for the kraftwerk run (0 = none); on expiry the best placement so far is kept")
+		ckpt    = flag.String("checkpoint", "", "write the iteration state here if the kraftwerk run is interrupted (-timeout or Ctrl-C)")
+		resume  = flag.String("resume", "", "resume a kraftwerk run from a -checkpoint snapshot instead of starting fresh")
 
 		tracePath = flag.String("trace", "", "write a JSONL run trace (one record per transformation)")
 		metrics   = flag.Bool("metrics", false, "dump the metrics registry as Prometheus text on exit")
@@ -88,6 +108,7 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		httpAddr  = flag.String("http", "", "serve /metrics and /debug/pprof/ on this address (e.g. :6060)")
 	)
+	knobs := knobFlags(flag.CommandLine)
 	flag.Parse()
 
 	// Observability sinks. Spans are always on (the cost is a handful of
@@ -129,9 +150,9 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	nm, ok := qp.ParseNetModel(*netModel)
-	if !ok {
-		log.Fatalf("unknown -netmodel %q (want clique, star, or hybrid)", *netModel)
+	cfg, err := knobs()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	nl, err := load(*in, *aux, *gen, *seed)
@@ -144,15 +165,7 @@ func main() {
 	start := time.Now()
 	switch *engine {
 	case "kraftwerk":
-		cfg := place.Config{
-			K: *k, MaxIter: *maxIter,
-			GridBins:         *gridBins,
-			NoLinearize:      *noLin,
-			NetModel:         nm,
-			KeepPlacement:    *keep,
-			StopSquareFactor: *stopSq,
-			Spans:            spans, Metrics: reg,
-		}
+		cfg.Spans, cfg.Metrics = spans, reg
 		if trace != nil {
 			// The trace file opens with a self-describing meta record:
 			// design size, seed, config hash — the context a bare stream

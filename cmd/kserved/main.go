@@ -75,7 +75,7 @@ func main() {
 		ProfileOnBreach:   *profDur,
 	})
 
-	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
+	hs := newHTTPServer(*addr, s.Handler())
 	errc := make(chan error, 1)
 	//lint:ignore parpolicy long-lived HTTP accept loop for the daemon's whole life, not data parallelism
 	go func() { errc <- hs.ListenAndServe() }()
@@ -110,4 +110,26 @@ func main() {
 		log.Printf("http server: %v", err)
 	}
 	fmt.Println("drained cleanly")
+}
+
+// Connection timeouts. A client has readHeaderTimeout to send its headers
+// and readTimeout for the whole request, body included; an idle keep-alive
+// connection closes after idleTimeout. There is no write timeout: an SSE
+// event stream stays open for as long as its job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's http.Server with its connection
+// timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

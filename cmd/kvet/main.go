@@ -10,11 +10,9 @@
 // whole-program concurrency-soundness trio: a global lock-acquisition
 // order free of deadlock cycles (lockorder), joined goroutines and
 // received-from channels (golife), and no unsynchronized closure-capture
-// races (sharecap). v4 adds the contract suite: every Config knob plumbed
-// to its CLI/HTTP/hash/engine surfaces (knobflow), every phase surface
-// mirroring the canonical t_<phase>_ns list and metric names obeying the
-// Prometheus rules (phasereg), and exhaustive switches over module-local
-// enum types (enumswitch).
+// races (sharecap) — and exhaustive switches over module-local enum types
+// (enumswitch). The knob, phase and metric-name contracts are Go tests
+// next to the code that owns them, not analyzers.
 //
 // Usage:
 //

@@ -105,17 +105,30 @@ func Legalize(nl *netlist.Netlist, opts Options) (Result, error) {
 	// re-clumps, so later rounds see the repaired geometry.
 	if opts.DetailedPasses > 0 {
 		sp = opts.Spans.Start("legalize/detailed")
+		// A matching pass checks each exchange against the segment fill at
+		// the start of the pass, so together its exchanges can overfill a
+		// segment, and the re-clump then pushes cells past the segment's
+		// end. Later rounds usually move the excess out again; when the last
+		// round leaves a segment overfull, the placement falls back to the
+		// last round that ended with every segment fitting.
+		fits := nl.Snapshot()
 		prev := nl.HPWL()
 		for round := 0; round < 10; round++ {
 			sw := GlobalSwapPass(nl, segs, opts.DetailedPasses)
 			sw += MatchingPass(nl, segs, 0)
 			sw += DetailedPlace(nl, segs, opts.DetailedPasses)
 			res.Swaps += sw
+			if segmentsFit(segs) {
+				fits = nl.SnapshotInto(fits)
+			}
 			cur := nl.HPWL()
 			if sw == 0 || cur > prev*0.995 {
 				break
 			}
 			prev = cur
+		}
+		if !segmentsFit(segs) {
+			nl.Restore(fits)
 		}
 		sp.End()
 	}
@@ -242,6 +255,16 @@ type Segment struct {
 }
 
 func (s *Segment) capacity() float64 { return s.X1 - s.X0 }
+
+// segmentsFit reports whether every segment's cells fit its length.
+func segmentsFit(segs []*Segment) bool {
+	for _, s := range segs {
+		if s.used > s.capacity()+1e-9 {
+			return false
+		}
+	}
+	return true
+}
 
 // buildSegments carves block footprints out of the rows.
 func buildSegments(nl *netlist.Netlist, blocks []int) []*Segment {

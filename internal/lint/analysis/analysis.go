@@ -43,12 +43,6 @@ type Analyzer struct {
 	// skipped the fact phase sees a nil Facts and must degrade to
 	// reporting nothing rather than guessing.
 	NeedsFacts bool
-	// NeedsRegistry marks an analyzer that consumes the contract registry
-	// (knob/phase/metric schemas extracted from the whole loaded tree).
-	// The driver runs the registry-extraction phase before any such
-	// analyzer and stores the result in the fact store; the same nil-Facts
-	// degradation rule as NeedsFacts applies.
-	NeedsRegistry bool
 }
 
 // Fact is an arbitrary datum attached to one package-level object. A fact

@@ -37,7 +37,6 @@ import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/callgraph"
 	"repro/internal/lint/load"
-	"repro/internal/lint/registry"
 )
 
 // wantRE extracts the backquoted patterns of one want comment.
@@ -57,7 +56,7 @@ type expectation struct {
 // mismatch between diagnostics and want comments as test errors.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	check(t, dir, a, nil, nil, ".")
+	check(t, dir, a, nil, ".")
 }
 
 // RunWithConfig is Run with the interprocedural fact phase enabled: every
@@ -65,21 +64,12 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 // the reachability roots, usually functions inside the fixture itself.
 func RunWithConfig(t *testing.T, dir string, a *analysis.Analyzer, cfg callgraph.Config) {
 	t.Helper()
-	check(t, dir, a, &cfg, nil, "./...")
+	check(t, dir, a, &cfg, "./...")
 }
 
-// RunWithRegistry is Run with the contract-registry phase enabled: every
-// package under dir loads and reg names the fixture's own contract
-// anchors (its Config struct, flags package, phase surfaces), so fixtures
-// exercise the same extraction the real tree gets.
-func RunWithRegistry(t *testing.T, dir string, a *analysis.Analyzer, reg registry.Config) {
+func check(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Config, pattern string) {
 	t.Helper()
-	check(t, dir, a, nil, &reg, "./...")
-}
-
-func check(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Config, reg *registry.Config, pattern string) {
-	t.Helper()
-	pkgs, res := run(t, dir, a, cfg, reg, pattern)
+	pkgs, res := run(t, dir, a, cfg, pattern)
 	var wants []*expectation
 	for _, pkg := range pkgs {
 		wants = append(wants, collectWants(t, pkg)...)
@@ -97,16 +87,15 @@ func check(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Config
 }
 
 // run loads the fixture and applies the analyzer as a one-rule suite.
-func run(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Config, reg *registry.Config, pattern string) ([]*load.Package, *lint.Result) {
+func run(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Config, pattern string) ([]*load.Package, *lint.Result) {
 	t.Helper()
 	pkgs, err := load.Load(load.Config{Dir: dir}, pattern)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
 	opts := lint.Options{
-		Graph:    cfg,
-		Registry: reg,
-		NoFacts:  cfg == nil && reg == nil && !a.NeedsFacts && !a.NeedsRegistry,
+		Graph:   cfg,
+		NoFacts: cfg == nil && !a.NeedsFacts,
 	}
 	res, err := lint.RunSuite(pkgs, []lint.Rule{{Analyzer: a}}, opts)
 	if err != nil {
@@ -122,7 +111,7 @@ func run(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Config, 
 // the fixed code suggests nothing — the fix is idempotent.
 func RunFix(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Config) {
 	t.Helper()
-	pkgs, res := run(t, dir, a, cfg, nil, ".")
+	pkgs, res := run(t, dir, a, cfg, ".")
 	if len(pkgs) != 1 {
 		t.Fatalf("RunFix wants a single-package fixture, got %d packages", len(pkgs))
 	}

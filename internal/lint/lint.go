@@ -39,15 +39,12 @@ import (
 	"repro/internal/lint/floatcmp"
 	"repro/internal/lint/golife"
 	"repro/internal/lint/hotalloc"
-	"repro/internal/lint/knobflow"
 	"repro/internal/lint/load"
 	"repro/internal/lint/lockheld"
 	"repro/internal/lint/lockorder"
 	"repro/internal/lint/nilsafe"
 	"repro/internal/lint/noclock"
 	"repro/internal/lint/parpolicy"
-	"repro/internal/lint/phasereg"
-	"repro/internal/lint/registry"
 	"repro/internal/lint/sharecap"
 	"repro/internal/obsv"
 )
@@ -124,9 +121,6 @@ func matchAny(pats []string, path string) bool {
 //     everywhere: a lock-order inversion, a leaked goroutine, or an
 //     unsynchronized captured write is a program property — the analyzers
 //     already anchor each finding to the package that owns the witness.
-//   - knobflow and phasereg (the v4 contract suite) apply everywhere: the
-//     registry is extracted from the whole tree and each finding is
-//     anchored in the one package owning the declaration that must change.
 //   - enumswitch applies everywhere: a silent fall-through on a new enum
 //     constant is wrong in a cmd exactly as in the solver.
 //   - staleignore applies everywhere a directive can appear.
@@ -161,44 +155,8 @@ func Rules() []Rule {
 		{Analyzer: lockorder.Analyzer},
 		{Analyzer: golife.Analyzer},
 		{Analyzer: sharecap.Analyzer},
-		{Analyzer: knobflow.Analyzer},
-		{Analyzer: phasereg.Analyzer},
 		{Analyzer: enumswitch.Analyzer},
 		{Analyzer: StaleIgnore},
-	}
-}
-
-// RegistryConfig names the repo's contract anchors: where the knob,
-// phase and metric schemas live. The v4 analyzers compare every mirror
-// surface against these.
-func RegistryConfig() registry.Config {
-	return registry.Config{
-		ConfigStruct: "repro/internal/place.Config",
-		HashMethod:   "Hash",
-		FlagsPkg:     "repro/cmd/kplace",
-		SubmitStruct: "repro/internal/serve.SubmitRequest",
-		FacadePkg:    "repro",
-
-		IterStruct:    "repro/internal/place.IterStats",
-		TotalsStruct:  "repro/internal/place.PhaseTotals",
-		SpanPkg:       "repro/internal/place",
-		SpanPrefix:    "place/",
-		PhaseKeysFunc: "repro/internal/place.PhaseKeys",
-		EventStruct:   "repro/internal/serve.Event",
-		// serve's streaming event carries one aggregate solve time; the
-		// three solver phases collapse into it by design.
-		EventCollapse: map[string][]string{
-			"solve": {"solve-x", "solve-y", "solve-pair"},
-		},
-		WaterfallPkg:    "repro/internal/serve",
-		WaterfallPrefix: "phase/",
-		// The waterfall renders the pipeline stages a job passes through;
-		// solve-pair is an alternative to solve-x/solve-y (never both in
-		// one iteration) and step is the enclosing span itself.
-		WaterfallExempt: []string{"solve-pair", "step"},
-		TraceCheckVar:   "repro/cmd/ktracecheck.knownPhaseKeys",
-
-		MetricsType: "repro/internal/obsv.Registry",
 	}
 }
 
@@ -260,20 +218,16 @@ type Finding struct {
 type Options struct {
 	// Graph overrides the interprocedural root set; nil means GraphConfig().
 	Graph *callgraph.Config
-	// Registry overrides the contract-schema anchors; nil means
-	// RegistryConfig(). Fixture tests point this at their own structs.
-	Registry *registry.Config
-	// NoFacts skips the whole-program fact and registry phases. Analyzers
-	// that declare NeedsFacts or NeedsRegistry then see a nil store and
-	// stay silent.
+	// NoFacts skips the whole-program fact phase. Analyzers that declare
+	// NeedsFacts then see a nil store and stay silent.
 	NoFacts bool
 	// CheckStale reports //lint:ignore directives that suppressed nothing.
 	CheckStale bool
 }
 
 // Timing is the accumulated wall time of one analyzer across every
-// package it ran on. The pseudo-analyzer names "facts" and "registry"
-// carry the whole-program phases.
+// package it ran on. The pseudo-analyzer name "facts" carries the
+// whole-program phase.
 type Timing struct {
 	Analyzer string
 	Wall     time.Duration
@@ -311,18 +265,6 @@ func RunSuite(pkgs []*load.Package, rules []Rule, opts Options) (*Result, error)
 		sw := obsv.StartTimer()
 		callgraph.Analyze(pkgs, store, cfg)
 		wall["facts"] = sw.Elapsed()
-	}
-	if !opts.NoFacts && anyNeedsRegistry(rules) {
-		if store == nil {
-			store = callgraph.NewStore()
-		}
-		rcfg := RegistryConfig()
-		if opts.Registry != nil {
-			rcfg = *opts.Registry
-		}
-		sw := obsv.StartTimer()
-		registry.Analyze(pkgs, store, rcfg)
-		wall["registry"] = sw.Elapsed()
 	}
 
 	ix := collectIgnores(pkgs)
@@ -413,15 +355,6 @@ func sortTimings(wall map[string]time.Duration) []Timing {
 func anyNeedsFacts(rules []Rule) bool {
 	for _, r := range rules {
 		if r.Analyzer.NeedsFacts {
-			return true
-		}
-	}
-	return false
-}
-
-func anyNeedsRegistry(rules []Rule) bool {
-	for _, r := range rules {
-		if r.Analyzer.NeedsRegistry {
 			return true
 		}
 	}

@@ -12,11 +12,8 @@ import (
 	"repro/internal/lint/enumswitch"
 	"repro/internal/lint/floatcmp"
 	"repro/internal/lint/golife"
-	"repro/internal/lint/knobflow"
 	"repro/internal/lint/load"
 	"repro/internal/lint/lockorder"
-	"repro/internal/lint/phasereg"
-	"repro/internal/lint/registry"
 	"repro/internal/lint/sharecap"
 )
 
@@ -141,27 +138,15 @@ func TestStaleIgnoreV3Analyzers(t *testing.T) {
 	}
 }
 
-// TestStaleIgnoreV4Analyzers runs the contract analyzers over a fixture
-// whose knobflow directive suppresses a real dead-knob finding (live)
-// while its phasereg and enumswitch directives suppress nothing: exactly
-// those two must come back as staleignore findings.
+// TestStaleIgnoreV4Analyzers runs enumswitch over a fixture whose
+// directive sits on an exhaustive switch: it suppresses nothing and must
+// come back as the one staleignore finding.
 func TestStaleIgnoreV4Analyzers(t *testing.T) {
 	pkgs, err := load.Load(load.Config{Dir: "testdata/stalev4"}, ".")
 	if err != nil {
 		t.Fatalf("loading stalev4 fixture: %v", err)
 	}
-	rules := []lint.Rule{
-		{Analyzer: knobflow.Analyzer},
-		{Analyzer: phasereg.Analyzer},
-		{Analyzer: enumswitch.Analyzer},
-	}
-	res, err := lint.RunSuite(pkgs, rules, lint.Options{
-		Registry: &registry.Config{
-			ConfigStruct: "repro/internal/lint/testdata/stalev4.Config",
-			HashMethod:   "Hash",
-		},
-		CheckStale: true,
-	})
+	res, err := lint.RunSuite(pkgs, []lint.Rule{{Analyzer: enumswitch.Analyzer}}, lint.Options{CheckStale: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +158,8 @@ func TestStaleIgnoreV4Analyzers(t *testing.T) {
 		}
 		staleNames = append(staleNames, f.Message)
 	}
-	if len(staleNames) != 2 {
-		t.Fatalf("want 2 stale directives (enumswitch, phasereg), got %d: %v", len(staleNames), staleNames)
-	}
-	for i, want := range []string{"enumswitch", "phasereg"} {
-		if !strings.Contains(staleNames[i], want) {
-			t.Errorf("stale finding %d = %q, want it to name %s", i, staleNames[i], want)
-		}
+	if len(staleNames) != 1 || !strings.Contains(staleNames[0], "enumswitch") {
+		t.Fatalf("want 1 stale enumswitch directive, got %d: %v", len(staleNames), staleNames)
 	}
 }
 

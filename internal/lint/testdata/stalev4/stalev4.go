@@ -1,28 +1,14 @@
-// Package stalev4 is the stale-suppression fixture for the v4 contract
-// analyzers: a knobflow directive that earns its keep next to phasereg
-// and enumswitch directives that suppress nothing and must be reported.
+// Package stalev4 is the stale-suppression fixture for enumswitch: a
+// directive that suppresses nothing and must be reported.
 package stalev4
 
-// Level is fully switched below, so the enumswitch directive is stale.
+// Level is the fixture's enum.
 type Level int
 
 const (
 	Low Level = iota
 	High
 )
-
-// Config is the fixture's knob registry anchor.
-type Config struct {
-	// Used is read by Run: clean.
-	Used float64
-	// Dead is never read; the directive below suppresses the knobflow
-	// finding and is live.
-	//lint:ignore knobflow fixture keeps a deliberately dead knob
-	Dead float64
-}
-
-// Run reads the live knob.
-func Run(c *Config) float64 { return c.Used }
 
 // pick covers every Level, so the directive is stale.
 func pick(l Level) int {
@@ -34,11 +20,4 @@ func pick(l Level) int {
 		return 1
 	}
 	return -1
-}
-
-// calm mirrors no phase surface at all, so the phasereg directive is
-// stale.
-func calm() int {
-	//lint:ignore phasereg nothing here mirrors a phase list
-	return 0
 }

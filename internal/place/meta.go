@@ -7,10 +7,29 @@ package place
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"time"
 
 	"repro/internal/netlist"
 )
+
+// Knobs returns the names of Config's algorithmic fields, in declaration
+// order: the values Hash digests and every user surface (kplace's flags,
+// kserved's request keys) carries. Hooks and sinks (func and pointer
+// fields) are set in code, and NoTrace is a library-only memory setting
+// that never changes the iteration sequence, so neither counts.
+func Knobs() []string {
+	t := reflect.TypeOf(Config{})
+	var out []string
+	for i := range t.NumField() {
+		f := t.Field(i)
+		if k := f.Type.Kind(); k == reflect.Func || k == reflect.Pointer || f.Name == "NoTrace" {
+			continue
+		}
+		out = append(out, f.Name)
+	}
+	return out
+}
 
 // Hash digests the algorithmic configuration — every knob that changes
 // the iteration sequence, and none of the observability hooks that don't

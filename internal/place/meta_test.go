@@ -3,6 +3,7 @@ package place
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,21 +21,26 @@ func TestConfigHashStability(t *testing.T) {
 	}
 
 	// Every algorithmic knob must move the hash; observability must not.
-	variants := []Config{
-		{K: 0.3, MaxIter: 100},
-		{K: 0.2, MaxIter: 101},
-		{K: 0.2, MaxIter: 100, GridBins: 64},
-		{K: 0.2, MaxIter: 100, NoLinearize: true},
-		{K: 0.2, MaxIter: 100, StopSquareFactor: 5},
-		{K: 0.2, MaxIter: 100, KeepPlacement: true},
-	}
-	seen := map[string]int{a.Hash(): -1}
-	for i, v := range variants {
-		h := v.Hash()
-		if j, dup := seen[h]; dup {
-			t.Errorf("variant %d collides with %d: %s", i, j, h)
+	seen := map[string]string{a.Hash(): "the base config"}
+	for _, name := range Knobs() {
+		v := a
+		f := reflect.ValueOf(&v).Elem().FieldByName(name)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 0.5)
+		default:
+			t.Errorf("knob %s has kind %s; teach this test to change it", name, f.Kind())
+			continue
 		}
-		seen[h] = i
+		h := v.Hash()
+		if other, dup := seen[h]; dup {
+			t.Errorf("changing knob %s leaves Config.Hash equal to %s's", name, other)
+		}
+		seen[h] = "knob " + name
 	}
 
 	obs := Config{K: 0.2, MaxIter: 100, NoTrace: true, OnIteration: func(IterStats) {}}

@@ -112,6 +112,17 @@ func TestSpansAndMetricsSinks(t *testing.T) {
 			t.Errorf("span %q total = %v, want > 0", phase, st.Total)
 		}
 	}
+	// The spans are exactly "place/" plus each PhaseKeys entry, one
+	// recording per transformation.
+	snap := spans.Snapshot()
+	for _, k := range PhaseKeys() {
+		if st := snap["place/"+k]; st.Count != int64(res.Iterations) {
+			t.Errorf("span %q recorded %d times, want %d", "place/"+k, st.Count, res.Iterations)
+		}
+	}
+	if len(snap) != len(PhaseKeys()) {
+		t.Errorf("spans %v, want one per PhaseKeys entry %v", snap, PhaseKeys())
+	}
 	if got := reg.Counter("place_transformations_total", "").Value(); got != int64(res.Iterations) {
 		t.Errorf("place_transformations_total = %d, want %d", got, res.Iterations)
 	}

@@ -64,12 +64,10 @@ type Config struct {
 	// MaxIter runs on large designs don't retain O(iterations) stats the
 	// caller never reads. Per-run aggregates (Result.Phases, HPWL,
 	// Overflow, Iterations) are still filled, and OnIteration still fires.
-	//lint:ignore knobflow library-only memory knob: callers that stream stats set it in code; it never changes the iteration sequence (excluded from Hash) and has no CLI/HTTP surface by design
 	NoTrace bool
 	// Spans, when set, receives per-phase span recordings
-	// ("place/gather", "place/field", "place/build", "place/solve-x",
-	// "place/solve-y", "place/solve-pair", "place/weight", "place/step")
-	// for every placement transformation. Nil costs nothing.
+	// ("place/" plus each PhaseKeys entry) for every placement
+	// transformation. Nil costs nothing.
 	Spans *obsv.Spans
 	// Metrics, when set, receives the run's counters and gauges
 	// (place_transformations_total, place_hpwl, place_overflow,
@@ -236,8 +234,8 @@ func stopReasonFor(err error) StopReason {
 // IterStats declaration order: the t_<phase>_ns trace keys with the t_/_ns
 // affixes stripped and underscores dashed. Every surface that breaks a
 // transformation down by phase (PhaseTotals, span names, serve events,
-// ktracecheck's allowlist) mirrors this list; kvet's phasereg analyzer
-// holds them to it.
+// ktracecheck's allowlist) mirrors this list; tests beside each surface
+// hold it to the list.
 func PhaseKeys() []string {
 	return []string{
 		"weight", "gather", "field", "build", "factor",

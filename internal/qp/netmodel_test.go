@@ -108,3 +108,31 @@ func TestTwoPinNetsNeverUseStar(t *testing.T) {
 		t.Error("2-pin star/clique d mismatch")
 	}
 }
+
+// TestNetModelParseRoundTrip: every model parses back from its String
+// form under a distinct name, "" parses to the zero model (an unset flag
+// or JSON key means the paper's default), and unknown names are refused.
+func TestNetModelParseRoundTrip(t *testing.T) {
+	models := []NetModel{Clique, Star, Hybrid}
+	names := map[string]bool{}
+	for _, m := range models {
+		got, ok := ParseNetModel(m.String())
+		if !ok || got != m {
+			t.Errorf("ParseNetModel(%q) = %v, %v; want %v", m.String(), got, ok, m)
+		}
+		if names[m.String()] {
+			t.Errorf("two models print as %q", m.String())
+		}
+		names[m.String()] = true
+	}
+	next := models[len(models)-1] + 1
+	if got, ok := ParseNetModel(next.String()); ok && got == next {
+		t.Errorf("NetModel %d round-trips as %q: add it to this test's list", next, next.String())
+	}
+	if m, ok := ParseNetModel(""); !ok || m != Clique {
+		t.Errorf(`ParseNetModel("") = %v, %v; want Clique, true`, m, ok)
+	}
+	if _, ok := ParseNetModel("bogus"); ok {
+		t.Error(`ParseNetModel("bogus") accepted an unknown name`)
+	}
+}

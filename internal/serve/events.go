@@ -33,17 +33,8 @@ type Event struct {
 }
 
 // eventFrom projects one iteration's stats into the streaming schema.
-// Solve time is the concurrent x/y pair's measured wall time; when the
-// stats predate that phase (zero), it degrades to the larger of the two
-// per-axis times, which bounds the pair's wall contribution from below.
+// Solve time is the concurrent x/y pair's measured wall time.
 func eventFrom(st place.IterStats) Event {
-	solve := st.TSolvePair
-	if solve <= 0 {
-		solve = st.TSolveX
-		if st.TSolveY > solve {
-			solve = st.TSolveY
-		}
-	}
 	return Event{
 		Iter:     st.Iter,
 		HPWL:     st.HPWL,
@@ -54,7 +45,7 @@ func eventFrom(st place.IterStats) Event {
 		FieldNS:  st.TField.Nanoseconds(),
 		BuildNS:  st.TBuild.Nanoseconds(),
 		FactorNS: st.TFactor.Nanoseconds(),
-		SolveNS:  solve.Nanoseconds(),
+		SolveNS:  st.TSolvePair.Nanoseconds(),
 		StepNS:   st.TStep.Nanoseconds(),
 	}
 }

@@ -397,6 +397,27 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	return j, nil
 }
 
+// waterfallPhase is one aggregate child span of a job's run span.
+type waterfallPhase struct {
+	name string
+	d    time.Duration
+}
+
+// waterfall lists a run's phase totals in pipeline order, as the run
+// span's children. It leaves out solve-pair, the wall time of the x and y
+// solves already listed, and step, which the run span itself covers.
+func waterfall(p place.PhaseTotals) []waterfallPhase {
+	return []waterfallPhase{
+		{"phase/weight", p.Weight},
+		{"phase/gather", p.Gather},
+		{"phase/field", p.Field},
+		{"phase/build", p.Build},
+		{"phase/factor", p.Factor},
+		{"phase/solve-x", p.SolveX},
+		{"phase/solve-y", p.SolveY},
+	}
+}
+
 // runJob executes one job on a pool worker. A panic anywhere in the
 // placement marks this job failed and leaves every other job untouched.
 func (s *Server) runJob(j *Job, deadline time.Duration) {
@@ -452,18 +473,7 @@ func (s *Server) runJob(j *Job, deadline time.Duration) {
 	runEnd := s.now()
 	runStart := runEnd.Add(-elapsed)
 	t := runStart
-	for _, ph := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"phase/weight", res.Phases.Weight},
-		{"phase/gather", res.Phases.Gather},
-		{"phase/field", res.Phases.Field},
-		{"phase/build", res.Phases.Build},
-		{"phase/factor", res.Phases.Factor},
-		{"phase/solve-x", res.Phases.SolveX},
-		{"phase/solve-y", res.Phases.SolveY},
-	} {
+	for _, ph := range waterfall(res.Phases) {
 		if ph.d > 0 {
 			runSpan.RecordChild(ph.name, t, t.Add(ph.d))
 			t = t.Add(ph.d)
